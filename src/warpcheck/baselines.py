@@ -6,7 +6,8 @@ which the adaptive search never touches, making it a strictly stronger
 oracle at equal resolution.  Random sampling uses numpy's PCG64 generator,
 a published algorithm with stable streams, so runs are reproducible across
 platforms; for a fixed seed the first ``n`` samples of a longer run equal
-a shorter run's samples.
+a shorter run's samples.  A NaN or infinite objective value raises
+``ValueError``, since it has no place in the order the minimum is taken in.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ def _batched_min(objective, points: np.ndarray, batch_size: int) -> tuple[float,
             raise ValueError(
                 f"objective returned shape {values.shape}, expected ({len(chunk)},)"
             )
+        # argmin would land on a NaN, which then never compares below best
+        if not np.all(np.isfinite(values)):
+            raise ValueError("objective returned a non-finite value")
         idx = int(np.argmin(values))
         if values[idx] < best:
             best = float(values[idx])

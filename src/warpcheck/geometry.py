@@ -6,6 +6,13 @@ and translations are in pixels.  The transformation matrix maps an output
 pixel's coordinates back into the source image (inverse warping); source
 positions outside the grid contribute zero.
 
+Bilinear sampling reads the four corners of every source position with one
+flat-index gather each from a copy of the image with a two-pixel ring of
+zeros; floored coordinates are clipped into that ring, so out-of-grid corners
+read zero without a bounds mask.  The interpolation weights and their
+summation order are fixed, so an identity matrix reproduces the input bit
+for bit.
+
 The default matrix applies the scale factor to the cosine entries only:
 
     [[s*cos(r), -sin(r), tx],
@@ -142,12 +149,35 @@ def _source_coords(matrices: np.ndarray, height: int, width: int):
     return src_y + cy, src_x + cx, xg, yg
 
 
-def _gather(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Zero-padded pixel lookup at integer indices; output (..., C)."""
-    h, w, _ = image.shape
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    vals = image[rows.clip(0, h - 1), cols.clip(0, w - 1), :]
-    return vals * inside[..., None]
+def _corners(image: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Bilinear corners of each source position in one gather per corner.
+
+    Returns ``(fr, fc, [v00, v01, v10, v11])``: the fractional offsets with
+    a trailing channel axis, and the pixel values at (r0, c0), (r0, c0 + 1),
+    (r0 + 1, c0) and (r0 + 1, c0 + 1), each (..., C) and freshly allocated.
+    The image gets a two-pixel ring of zeros and the floored coordinates are
+    clipped into it, so out-of-grid corners read zero without a mask.  Each
+    ring pixel is its nearest edge pixel times 0.0, which keeps the sign of
+    the zero that masking an edge pixel gives.
+    """
+    h, w, c = image.shape
+    padded = np.pad(image, ((2, 2), (2, 2), (0, 0)), mode="edge")
+    padded[:2] *= 0.0
+    padded[-2:] *= 0.0
+    padded[:, :2] *= 0.0
+    padded[:, -2:] *= 0.0
+    flat = padded.reshape(-1, c)
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr = (rows - r0)[..., None]
+    fc = (cols - c0)[..., None]
+    stride = w + 4
+    idx = np.clip(r0, -2, h, out=r0)
+    idx *= stride
+    idx += np.clip(c0, -2, w, out=c0)
+    idx += 2 * stride + 2
+    corners = [np.take(flat[offset:], idx, axis=0) for offset in (0, 1, stride, stride + 1)]
+    return fr, fc, corners
 
 
 def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
@@ -162,22 +192,22 @@ def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
     h, w, _ = img.shape
     matrices = np.asarray(matrices, dtype=float)
     rows, cols, _, _ = _source_coords(matrices, h, w)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = rows - r0
-    fc = cols - c0
-    v00 = _gather(img, r0, c0)
-    v01 = _gather(img, r0, c0 + 1)
-    v10 = _gather(img, r0 + 1, c0)
-    v11 = _gather(img, r0 + 1, c0 + 1)
-    fr = fr[..., None]
-    fc = fc[..., None]
-    return (
-        v00 * (1.0 - fr) * (1.0 - fc)
-        + v01 * (1.0 - fr) * fc
-        + v10 * fr * (1.0 - fc)
-        + v11 * fr * fc
-    )
+    fr, fc, (out, v01, v10, v11) = _corners(img, rows, cols)
+    gr = 1.0 - fr
+    gc = 1.0 - fc
+    # same products and summation order as v00*gr*gc + v01*gr*fc + ...
+    out *= gr
+    out *= gc
+    v01 *= gr
+    v01 *= fc
+    out += v01
+    v10 *= fr
+    v10 *= gc
+    out += v10
+    v11 *= fr
+    v11 *= fc
+    out += v11
+    return out
 
 
 def warp(image, matrix: np.ndarray) -> np.ndarray:
@@ -202,15 +232,7 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     h, w, _ = img.shape
     matrix = np.asarray(matrix, dtype=float)
     rows, cols, _, _ = _source_coords(matrix[None], h, w)
-    rows, cols = rows[0], cols[0]
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = (rows - r0)[..., None]
-    fc = (cols - c0)[..., None]
-    v00 = _gather(img, r0, c0)
-    v01 = _gather(img, r0, c0 + 1)
-    v10 = _gather(img, r0 + 1, c0)
-    v11 = _gather(img, r0 + 1, c0 + 1)
+    fr, fc, (v00, v01, v10, v11) = _corners(img, rows[0], cols[0])
 
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)
     d_dx = np.where(fc == 0.0, (1.0 - fr) * v00 + fr * v10, d_dx)

@@ -11,6 +11,13 @@ Weight file format (text, whitespace separated, ``#`` comments allowed):
 
 Images flow through as (B, H, W, C) channel-last arrays; ``flatten``
 reorders row-major.  Inference is pure and deterministic.
+
+``conv2d`` is lowered to matrix products (im2col): each output pixel's
+k x k x C input window becomes one row, and a block of rows is multiplied by
+the weight reshaped to (k*k*C, out_ch).  Whole images are lowered together
+in blocks of at most ``_IM2COL_BLOCK_FLOATS`` window values (2 MiB), or one
+image at a time when a single image exceeds that, so the lowered copy never
+grows with the batch.
 """
 
 from __future__ import annotations
@@ -18,6 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Window values lowered at once (2 MiB of float64), so that the lowered copy
+# does not grow with the batch.
+_IM2COL_BLOCK_FLOATS = 1 << 18
 
 
 class WeightFormatError(ValueError):
@@ -69,12 +81,20 @@ class Conv2dLayer:
             raise ShapeError(f"conv2d kernel {k} larger than padded input {h}x{w}")
         oh = (h - k) // self.stride + 1
         ow = (w - k) // self.stride + 1
-        out = np.broadcast_to(self.bias, (b, oh, ow, out_ch)).copy()
-        for u in range(k):
-            for v in range(k):
-                patch = x[:, u : u + oh * self.stride : self.stride,
-                          v : v + ow * self.stride : self.stride, :]
-                out += np.tensordot(patch, self.weight[:, :, u, v], axes=([3], [1]))
+        # (b, oh, ow, k, k, in_ch) windows; rows of a block flatten in the
+        # same (u, v, channel) order as the reshaped weight
+        windows = sliding_window_view(x, (k, k), axis=(1, 2))
+        windows = windows[:, :: self.stride, :: self.stride].transpose(0, 1, 2, 4, 5, 3)
+        row = k * k * in_ch
+        weight = self.weight.transpose(2, 3, 1, 0).reshape(row, out_ch)
+        out = np.empty((b, oh, ow, out_ch))
+        step = max(1, _IM2COL_BLOCK_FLOATS // max(1, oh * ow * row))
+        for start in range(0, b, step):
+            block = windows[start : start + step]
+            n = len(block) * oh * ow
+            np.matmul(block.reshape(n, row), weight,
+                      out=out[start : start + step].reshape(n, out_ch))
+        out += self.bias
         return out
 
 

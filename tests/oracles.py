@@ -1,12 +1,15 @@
 """Independent reference implementations used by several test modules.
 
 These deliberately share no code with the package: quadratic enumeration,
-explicit candidate sweeps, dense grids.
+explicit candidate sweeps, dense grids, and a masked per-corner bilinear
+warp that the package's padded single-gather warp must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def lemma_po_oracle(stats, tau, l_min):
@@ -50,3 +53,58 @@ def lemma_po_oracle(stats, tau, l_min):
         if ok:
             selected.add(p.id)
     return selected
+
+
+def _source_coords_reference(matrices, height, width):
+    cx = (width - 1) / 2.0
+    cy = (height - 1) / 2.0
+    xg, yg = np.meshgrid(np.arange(width) - cx, np.arange(height) - cy)
+    a = matrices[:, None, None, :, :]
+    src_x = a[..., 0, 0] * xg + a[..., 0, 1] * yg + a[..., 0, 2]
+    src_y = a[..., 1, 0] * xg + a[..., 1, 1] * yg + a[..., 1, 2]
+    return src_y + cy, src_x + cx
+
+
+def _gather_reference(image, rows, cols):
+    """Zero-padded pixel lookup at integer indices by clipping and masking."""
+    h, w, _ = image.shape
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    vals = image[rows.clip(0, h - 1), cols.clip(0, w - 1), :]
+    return vals * inside[..., None]
+
+
+def _bilinear_corners_reference(image, rows, cols):
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr = (rows - r0)[..., None]
+    fc = (cols - c0)[..., None]
+    v00 = _gather_reference(image, r0, c0)
+    v01 = _gather_reference(image, r0, c0 + 1)
+    v10 = _gather_reference(image, r0 + 1, c0)
+    v11 = _gather_reference(image, r0 + 1, c0 + 1)
+    return fr, fc, v00, v01, v10, v11
+
+
+def warp_batch_reference(image, matrices):
+    """Bilinear inverse warp of an (H, W, C) image; output (B, H, W, C)."""
+    h, w, _ = image.shape
+    rows, cols = _source_coords_reference(np.asarray(matrices, dtype=float), h, w)
+    fr, fc, v00, v01, v10, v11 = _bilinear_corners_reference(image, rows, cols)
+    return (
+        v00 * (1.0 - fr) * (1.0 - fc)
+        + v01 * (1.0 - fr) * fc
+        + v10 * fr * (1.0 - fc)
+        + v11 * fr * fc
+    )
+
+
+def warp_coordinate_grads_reference(image, matrix):
+    """(d_dx, d_dy) of the warped values w.r.t. source column and row."""
+    h, w, _ = image.shape
+    rows, cols = _source_coords_reference(np.asarray(matrix, dtype=float)[None], h, w)
+    fr, fc, v00, v01, v10, v11 = _bilinear_corners_reference(image, rows[0], cols[0])
+    d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)
+    d_dx = np.where(fc == 0.0, (1.0 - fr) * v00 + fr * v10, d_dx)
+    d_dy = (1.0 - fc) * (v10 - v00) + fc * (v11 - v01)
+    d_dy = np.where(fr == 0.0, (1.0 - fc) * v00 + fc * v01, d_dy)
+    return d_dx, d_dy

@@ -102,6 +102,30 @@ class TestRandomPick:
             random_pick(lambda pts: np.zeros(len(pts)), UNIT1, 0, seed=0)
 
 
+def nan_at_half(pts):
+    """(t - 0.2)^2 with a NaN at t = 0.5, in the same chunk as the minimum."""
+    t = np.asarray(pts)[:, 0]
+    values = (t - 0.2) ** 2
+    values[t == 0.5] = np.nan
+    return values
+
+
+class TestNonFiniteObjective:
+    def test_grid_search_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            grid_search(nan_at_half, UNIT1, 11)
+
+    def test_random_pick_rejects_nan(self):
+        fn = lambda pts: np.where(np.arange(len(pts)) == 3, np.nan, pts[:, 0])
+        with pytest.raises(ValueError, match="non-finite"):
+            random_pick(fn, UNIT1, 10, seed=0)
+
+    def test_infinite_values_rejected(self):
+        fn = lambda pts: np.full(len(pts), np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            grid_search(fn, UNIT1, 5)
+
+
 class TestMatchMetric:
     def test_smaller_matches(self):
         assert match_metric(0.29, 0.30)

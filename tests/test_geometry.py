@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import warp_batch_reference, warp_coordinate_grads_reference
 from warpcheck.geometry import (
     FACTORS,
     IDENTITY,
@@ -152,6 +153,43 @@ class TestWarp:
     def test_rejects_bad_matrix_shape(self):
         with pytest.raises(ValueError):
             warp(np.zeros((4, 4)), np.eye(3))
+
+
+def bit_identical(a, b):
+    """Equal values, shapes and signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def extreme_matrices(rng, n):
+    """Seeded matrices mixing ordinary, near-zero and large scales with
+    translations up to far beyond the image."""
+    scale = rng.choice([1e-9, 1e-3, 1.0, 40.0, 1e6], n) * rng.uniform(0.5, 1.5, n)
+    shift = rng.choice([0.0, 1.0, 1e3, 1e9], (2, n)) * rng.normal(size=(2, n))
+    return build_matrix_batch(rng.uniform(-180.0, 180.0, n), scale, shift[0], shift[1])
+
+
+class TestWarpMatchesMaskedReference:
+    """The padded single-gather warp against the masked per-corner reference."""
+
+    @pytest.mark.parametrize("batch", [1, 17, 20000])
+    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3)])
+    def test_warp_batch(self, batch, shape):
+        rng = np.random.default_rng(batch + shape[2])
+        # negative pixels make masked-out corners signed zeros
+        img = rng.random(shape) - 0.5
+        mats = extreme_matrices(rng, batch)
+        assert bit_identical(warp_batch(img, mats), warp_batch_reference(img, mats))
+
+    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3), (6, 6, 1)])
+    def test_coordinate_grads(self, shape):
+        rng = np.random.default_rng(shape[0])
+        img = rng.random(shape) - 0.5
+        mats = np.concatenate([extreme_matrices(rng, 40), [build_matrix(IDENTITY)]])
+        for m in mats:
+            got = warp_coordinate_grads(img, m)
+            want = warp_coordinate_grads_reference(img, m)
+            assert bit_identical(got[0], want[0])
+            assert bit_identical(got[1], want[1])
 
 
 class TestValidateImage:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpcheck import netfwd
 from warpcheck.netfwd import (
     Conv2dLayer,
     DenseLayer,
@@ -13,6 +14,25 @@ from warpcheck.netfwd import (
     load_weights,
     save_weights,
 )
+
+
+def manual_conv(x, w, b, stride, pad):
+    """Direct convolution, one output pixel and one tap at a time."""
+    out_ch, in_ch, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    oh = (xp.shape[1] - k) // stride + 1
+    ow = (xp.shape[2] - k) // stride + 1
+    out = np.zeros((x.shape[0], oh, ow, out_ch))
+    for oc in range(out_ch):
+        for i in range(oh):
+            for j in range(ow):
+                acc = np.full(x.shape[0], b[oc])
+                for ic in range(in_ch):
+                    for u in range(k):
+                        for v in range(k):
+                            acc += w[oc, ic, u, v] * xp[:, i * stride + u, j * stride + v, ic]
+                out[:, i, j, oc] = acc
+    return out
 
 
 class TestLayers:
@@ -43,19 +63,42 @@ class TestLayers:
         x = rng.random((1, 4, 4, 2))
         w = rng.random((3, 2, 2, 2))
         b = rng.random(3)
-        conv = Conv2dLayer(w, b, stride=1, pad=0)
-        out = conv.apply(x)
-        manual = np.zeros((3, 3, 3))
-        for oc in range(3):
-            for i in range(3):
-                for j in range(3):
-                    acc = b[oc]
-                    for ic in range(2):
-                        for u in range(2):
-                            for v in range(2):
-                                acc += w[oc, ic, u, v] * x[0, i + u, j + v, ic]
-                    manual[i, j, oc] = acc
-        assert np.allclose(out[0], manual)
+        out = Conv2dLayer(w, b, stride=1, pad=0).apply(x)
+        assert np.allclose(out, manual_conv(x, w, b, 1, 0))
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, pad",
+        [
+            ((3, 5, 7, 2), (4, 2, 3, 3), 2, 1),
+            ((2, 6, 9, 3), (5, 3, 3, 3), 1, 1),
+            ((2, 8, 8, 3), (2, 3, 3, 3), 2, 0),
+            ((2, 7, 5, 3), (2, 3, 1, 1), 1, 0),
+            ((2, 9, 6, 1), (3, 1, 1, 1), 2, 1),
+            # 1134 window floats per image: the batch spans three im2col blocks
+            ((500, 9, 7, 2), (2, 2, 3, 3), 1, 1),
+        ],
+    )
+    def test_conv_matches_manual_convolution(self, x_shape, w_shape, stride, pad):
+        rng = np.random.default_rng(sum(x_shape))
+        x = rng.random(x_shape)
+        w = rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        out = Conv2dLayer(w, b, stride=stride, pad=pad).apply(x)
+        manual = manual_conv(x, w, b, stride, pad)
+        assert out.shape == manual.shape
+        assert np.allclose(out, manual, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_floats", [200, 1100])
+    def test_conv_block_edges(self, monkeypatch, block_floats):
+        # 5*4*27 = 540 window floats per image: one image per block even when
+        # it overflows the bound, and blocks of 2, 2 and 1 images
+        monkeypatch.setattr(netfwd, "_IM2COL_BLOCK_FLOATS", block_floats)
+        rng = np.random.default_rng(block_floats)
+        x = rng.random((5, 9, 7, 3))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        out = Conv2dLayer(w, b, stride=2, pad=1).apply(x)
+        assert np.allclose(out, manual_conv(x, w, b, 2, 1), rtol=0.0, atol=1e-12)
 
     def test_flatten_row_major(self):
         x = np.arange(12.0).reshape(1, 2, 3, 2)
