@@ -42,9 +42,9 @@ from .objectives import (
     margin_loss,
     test_function,
 )
-from .partition import HyperRect, ParamSpace, Partition, PartitionError, init_space, sample_points
+from .partition import HyperRect, ParamSpace, Partition, PartitionError, sample_points
 from .selection import RectStat, optimal_score, select_po
-from .slope import SlopeTracker, estimate_lower_bound, local_slope
+from .slope import SlopeTracker, estimate_lower_bound
 
 __version__ = "0.1.0"
 
@@ -77,10 +77,8 @@ __all__ = [
     "estimate_lower_bound",
     "forward",
     "grid_search",
-    "init_space",
     "lipschitz_bound",
     "load_weights",
-    "local_slope",
     "make_multi_basin",
     "margin_batch",
     "margin_loss",

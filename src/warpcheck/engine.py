@@ -6,6 +6,11 @@ estimates and the running best, then selects the next potentially-optimal
 set.  The run stops when the iteration cap is reached, the query budget is
 exhausted (checked before launching a batch, so one batch may overshoot),
 or no divisible rect remains.
+
+No point is ever queried twice, so no evaluation cache is kept: a sample
+point lies strictly inside its rect and off its center, while every point
+queried so far is the center of exactly one live rect.  The best point is
+tracked as the live rect centered there.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .partition import ParamSpace, Partition, init_space, sample_points
-from .selection import select_po, stats_from_partition
+from .partition import ParamSpace, Partition, sample_points
+from .selection import select_po
 from .slope import SlopeTracker, estimate_lower_bound
 
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -162,50 +167,41 @@ def run(
     ``objective`` receives an ``(B, n)`` array of physical points and must
     return one value per point, order preserving.  The unit-cube center
     (the identity transformation for symmetric bounds) is always the first
-    query.  With ``known_lipschitz`` set, the reported lower bound uses
-    that constant with a radius covering the whole best rect, instead of
-    the slope estimate gathered along the way.
+    query.  With ``known_lipschitz`` set, the reported lower bound is the
+    least ``value - K * cover_radius`` over all live rects, which is sound
+    when ``K`` bounds the objective's slope in every factor; otherwise it is
+    the slope estimate gathered along the way, applied to the best rect.
     """
     budget = budget or BudgetConfig()
-    partition = init_space(space)
+    partition = Partition(space.n)
     tracker = SlopeTracker(space)
     trace = RunTrace(space=space)
-    cache: dict[tuple, float] = {}
 
-    root = partition.rects[0]
-    value = float(_evaluate(objective, space.to_physical(root.center()[None]), trace)[0])
-    root.value = value
-    cache[root.center_key()] = value
+    best = partition.rects[0]
+    best.value = float(_evaluate(objective, space.to_physical(best.center()[None]), trace)[0])
     queries = 1
-    best_value = value
-    best_key = root.center_key()
-    best_center = root.center()
-
-    def lower_bound() -> float:
-        optimal = partition.rects[partition.id_at_center(best_key)]
-        if known_lipschitz is not None:
-            return estimate_lower_bound(optimal, known_lipschitz, space, cover=True)
-        return estimate_lower_bound(optimal, tracker.k_max, space)
 
     def record(iteration: int, n_po: int) -> None:
-        optimal = partition.rects[partition.id_at_center(best_key)]
-        box = space.to_physical(optimal.box().T).T
+        if known_lipschitz is not None:
+            bound = min(
+                estimate_lower_bound(r, known_lipschitz, space, cover=True) for r in partition
+            )
+        else:
+            bound = estimate_lower_bound(best, tracker.k_max, space)
         trace.records.append(
             IterationRecord(
                 iteration=iteration,
                 queries=queries,
-                l_min=best_value,
-                l_star_min=lower_bound(),
+                l_min=best.value,
+                l_star_min=bound,
                 k_hat_max=tracker.k_max,
                 n_po=n_po,
-                c_min=space.to_physical(best_center),
-                optimal_box=box,
+                c_min=space.to_physical(best.center()),
+                optimal_box=space.to_physical(best.box().T).T,
             )
         )
 
-    po = select_po(
-        stats_from_partition(partition), budget.alpha, budget.tau, best_value, budget.depth
-    )
+    po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
     record(0, len(po))
 
     iteration = 0
@@ -222,44 +218,31 @@ def run(
         iteration += 1
 
         plan = []
-        batch_keys: dict[tuple, None] = {}
         for rect_id in po:
-            rect = partition.rects[rect_id]
-            points = sample_points(rect, max_depth=budget.depth)
-            if not points:
-                continue
-            plan.append((rect_id, points))
-            for p in points:
-                if p.key() not in cache:
-                    batch_keys[p.key()] = None
+            points = sample_points(partition.rects[rect_id], max_depth=budget.depth)
+            if points:
+                plan.append((rect_id, points))
         if not plan:
             trace.stop_reason = "exhausted"
             break
 
-        if batch_keys:
-            unit = np.array([[num / (2 * 3**d) for num, d in key] for key in batch_keys])
-            values = _evaluate(objective, space.to_physical(unit), trace)
-            for key, val in zip(batch_keys, values):
-                cache[key] = float(val)
-            queries += len(batch_keys)
+        unit = np.array([p.center() for _, points in plan for p in points])
+        values = iter(_evaluate(objective, space.to_physical(unit), trace).tolist())
+        queries += len(unit)
 
         for rect_id, points in plan:
             rect = partition.rects[rect_id]
-            results = {(p.dim, p.sign): cache[p.key()] for p in points}
-            k_c, pair_slopes = tracker.observe(rect.value, results, rect.min_depth)
-            rect.slope = k_c
+            results = {(p.dim, p.sign): next(values) for p in points}
+            tracker.observe(rect.value, results, rect.depth_key)
             divided = partition.divide(rect_id, results)
-            for (dim, sign), child_id in divided.pair_ids.items():
+            if rect is best:
+                best = partition.rects[divided.center_id]
+            for child_id in divided.pair_ids.values():
                 child = partition.rects[child_id]
-                child.slope = pair_slopes[(dim, sign)]
-                if child.value < best_value:
-                    best_value = child.value
-                    best_key = child.center_key()
-                    best_center = child.center()
+                if child.value < best.value:
+                    best = child
 
-        po = select_po(
-            stats_from_partition(partition), budget.alpha, budget.tau, best_value, budget.depth
-        )
+        po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
         record(iteration, len(plan))
 
     return trace

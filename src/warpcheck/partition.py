@@ -7,8 +7,12 @@ maps unit points to physical points.
 Centers and side lengths are kept in exact integer form: along dimension
 ``i`` a rectangle has trisection depth ``d_i`` (side length ``3**-d_i``)
 and its center coordinate is ``num_i / (2 * 3**d_i)`` with ``num_i`` odd.
-This makes size grouping, volume accounting, and point identity exact, so
-no floating-point tolerances are ever needed for the partition itself.
+This makes size grouping and volume accounting exact, so no floating-point
+tolerances are ever needed for the partition itself.  Points need no
+identity of their own: a sample point lies strictly inside its rect and off
+its center, so it is never a point evaluated before, and once evaluated it
+is the center of exactly one live rect.  Callers track a point by the id of
+the rect centered there.
 """
 
 from __future__ import annotations
@@ -65,22 +69,6 @@ class ParamSpace:
         return f"ParamSpace({list(self.bounds)!r})"
 
 
-def _canonical_key(nums, depths) -> tuple:
-    """Reduced (numerator, depth) pairs identifying a point exactly.
-
-    ``num / (2 * 3**d)`` equals ``(num / 3) / (2 * 3**(d-1))`` whenever
-    ``num`` is divisible by 3; reducing gives one canonical encoding per
-    geometric point.
-    """
-    key = []
-    for num, d in zip(nums, depths):
-        while d > 0 and num % 3 == 0:
-            num //= 3
-            d -= 1
-        key.append((num, d))
-    return tuple(key)
-
-
 def _center_array(nums, depths) -> np.ndarray:
     return np.array([num / (2 * 3**d) for num, d in zip(nums, depths)])
 
@@ -89,42 +77,34 @@ def _center_array(nums, depths) -> np.ndarray:
 class HyperRect:
     """One subspace of the unit cube.
 
-    ``nums``/``depths`` encode the exact center; ``value`` is the cached
-    objective at the center and ``slope`` the local slope estimate in
-    physical units.
+    ``nums``/``depths`` encode the exact center; ``value`` is the objective
+    at the center.  ``depth_key`` is the least trisection depth, which names
+    the rect's size group.
     """
 
     id: int
     nums: tuple[int, ...]
     depths: tuple[int, ...]
     value: float = math.nan
-    slope: float = 0.0
-    divided: bool = False
+    depth_key: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.depth_key = min(self.depths)
 
     @property
     def n(self) -> int:
         return len(self.depths)
 
     @property
-    def min_depth(self) -> int:
-        return min(self.depths)
-
-    @property
     def size(self) -> float:
         """Half the longest side (L-infinity measure)."""
-        return 0.5 * 3.0 ** (-self.min_depth)
-
-    def side(self, dim: int) -> float:
-        return 3.0 ** (-self.depths[dim])
+        return 0.5 * 3.0 ** (-self.depth_key)
 
     def center(self) -> np.ndarray:
         return _center_array(self.nums, self.depths)
 
-    def center_key(self) -> tuple:
-        return _canonical_key(self.nums, self.depths)
-
     def long_dims(self) -> list[int]:
-        d = self.min_depth
+        d = self.depth_key
         return [i for i, di in enumerate(self.depths) if di == d]
 
     def volume(self) -> Fraction:
@@ -135,11 +115,6 @@ class HyperRect:
         c = self.center()
         half = np.array([0.5 * 3.0**-d for d in self.depths])
         return np.stack([c - half, c + half], axis=1)
-
-    def contains(self, u) -> bool:
-        b = self.box()
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= b[:, 0]) and np.all(u <= b[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -154,9 +129,6 @@ class SamplePoint:
     def center(self) -> np.ndarray:
         return _center_array(self.nums, self.depths)
 
-    def key(self) -> tuple:
-        return _canonical_key(self.nums, self.depths)
-
 
 @dataclass
 class DivideResult:
@@ -170,9 +142,8 @@ class DivideResult:
 class Partition:
     """The live set of hyperrectangles tiling the unit cube.
 
-    Mutation is single-writer; snapshots of rect stats may be shared
-    freely.  Division replaces the parent with ``2m + 1`` children where
-    ``m`` is the number of longest sides.
+    Mutation is single-writer.  Division replaces the parent with ``2m + 1``
+    children where ``m`` is the number of longest sides.
     """
 
     def __init__(self, n: int) -> None:
@@ -180,42 +151,22 @@ class Partition:
             raise PartitionError("partition needs at least one dimension")
         self.n = n
         self.rects: dict[int, HyperRect] = {}
-        self._groups: dict[int, dict[int, None]] = {}
-        self._by_center: dict[tuple, int] = {}
         self._next_id = 0
-        root = HyperRect(id=self._take_id(), nums=(1,) * n, depths=(0,) * n)
-        self._add(root)
+        self._add((1,) * n, (0,) * n)
 
-    def _take_id(self) -> int:
-        i = self._next_id
+    def _add(
+        self, nums: tuple[int, ...], depths: tuple[int, ...], value: float = math.nan
+    ) -> HyperRect:
+        rect = HyperRect(self._next_id, nums, depths, value)
         self._next_id += 1
-        return i
-
-    def _add(self, rect: HyperRect) -> None:
         self.rects[rect.id] = rect
-        self._groups.setdefault(rect.min_depth, {})[rect.id] = None
-        self._by_center[rect.center_key()] = rect.id
-
-    def _remove(self, rect: HyperRect) -> None:
-        del self.rects[rect.id]
-        group = self._groups[rect.min_depth]
-        del group[rect.id]
-        if not group:
-            del self._groups[rect.min_depth]
-        del self._by_center[rect.center_key()]
+        return rect
 
     def __len__(self) -> int:
         return len(self.rects)
 
     def __iter__(self) -> Iterator[HyperRect]:
         return iter(self.rects.values())
-
-    def groups(self) -> dict[int, list[int]]:
-        """Min-depth key -> live rect ids, keys ascending."""
-        return {k: list(self._groups[k]) for k in sorted(self._groups)}
-
-    def id_at_center(self, key: tuple) -> int:
-        return self._by_center[key]
 
     def total_volume(self) -> Fraction:
         return sum((r.volume() for r in self.rects.values()), Fraction(0))
@@ -246,10 +197,9 @@ class Partition:
         w = {i: min(results[(i, -1)], results[(i, 1)]) for i in dims}
         order = sorted(dims, key=lambda i: (w[i], i))
 
-        depth = rect.min_depth
+        depth = rect.depth_key
         out = DivideResult(new_ids=[])
-        self._remove(rect)
-        rect.divided = True
+        del self.rects[rect_id]
 
         # Split stage by stage: after stage k the center cell is deepened
         # along the first k dims; the stage-k side pair keeps the remaining
@@ -262,34 +212,16 @@ class Partition:
                 depths = list(center_depths)
                 nums[dim] = 3 * nums[dim] + 2 * sign
                 depths[dim] = depth + 1
-                child = HyperRect(
-                    id=self._take_id(),
-                    nums=tuple(nums),
-                    depths=tuple(depths),
-                    value=results[(dim, sign)],
-                )
-                self._add(child)
+                child = self._add(tuple(nums), tuple(depths), results[(dim, sign)])
                 out.new_ids.append(child.id)
                 out.pair_ids[(dim, sign)] = child.id
             center_nums[dim] = 3 * center_nums[dim]
             center_depths[dim] = depth + 1
 
-        center = HyperRect(
-            id=self._take_id(),
-            nums=tuple(center_nums),
-            depths=tuple(center_depths),
-            value=rect.value,
-            slope=rect.slope,
-        )
-        self._add(center)
+        center = self._add(tuple(center_nums), tuple(center_depths), rect.value)
         out.new_ids.append(center.id)
         out.center_id = center.id
         return out
-
-
-def init_space(param_space: ParamSpace) -> Partition:
-    """Fresh partition: a single unit cube centered at (0.5, ..., 0.5)."""
-    return Partition(param_space.n)
 
 
 def sample_points(rect: HyperRect, max_depth: int | None = None) -> list[SamplePoint]:
@@ -298,7 +230,7 @@ def sample_points(rect: HyperRect, max_depth: int | None = None) -> list[SampleP
     Short sides are ignored.  A rect already at ``max_depth`` along every
     longest side yields an empty list and should be skipped by the caller.
     """
-    depth = rect.min_depth
+    depth = rect.depth_key
     if max_depth is not None and depth >= max_depth:
         return []
     points = []

@@ -1,9 +1,16 @@
 """Potentially-optimal subspace selection.
 
-Rects are compared through lightweight ``RectStat`` records (id, size
-group, center value), so the same functions run on a live partition or on
-synthetic configurations in tests.  Sizes are grouped by the minimum
-trisection depth; group ``k`` has size ``0.5 * 3**-k``.
+The functions here read only ``id``, ``depth_key``, ``value`` and ``size``,
+so they run unchanged on the live rects of a partition (:class:`HyperRect`)
+or on synthetic ``RectStat`` records in tests.  Sizes are grouped by the
+minimum trisection depth; group ``k`` has size ``0.5 * 3**-k``.
+
+Within a size group the score :func:`optimal_score` never rises as the
+center value rises (the slope toward larger rects falls, the slope toward
+smaller rects rises, and float rounding keeps both monotone).  So the
+``alpha`` best-scoring rects of a group are its ``alpha`` lowest center
+values, cut at the first non-positive score; selection walks at most
+``alpha`` rects per group and never scores the rest.
 
 Selection conventions (empty-set cases):
   * the minimum slope over an empty larger-size set is ``+inf``;
@@ -20,12 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .partition import Partition
+from .partition import HyperRect
 
 
 @dataclass(frozen=True)
 class RectStat:
-    """Snapshot of one live rect for selection purposes."""
+    """Stand-in for a live rect: the fields selection reads."""
 
     id: int
     depth_key: int
@@ -36,27 +43,27 @@ class RectStat:
         return group_size(self.depth_key)
 
 
+Rect = HyperRect | RectStat
+
+
 def group_size(depth_key: int) -> float:
     return 0.5 * 3.0 ** (-depth_key)
 
 
-def stats_from_partition(partition: Partition) -> list[RectStat]:
-    return [RectStat(r.id, r.min_depth, r.value) for r in partition]
-
-
-def group_by_size(stats: Iterable[RectStat]) -> dict[int, list[RectStat]]:
-    """Depth key -> stats of that size, keys ascending (largest first)."""
-    groups: dict[int, list[RectStat]] = {}
+def group_by_size(stats: Iterable[Rect]) -> dict[int, list[Rect]]:
+    """Depth key -> rects of that size ordered by (value, id), keys ascending."""
+    groups: dict[int, list[Rect]] = {}
     for s in stats:
         groups.setdefault(s.depth_key, []).append(s)
-    return {k: groups[k] for k in sorted(groups)}
+    return {k: sorted(groups[k], key=lambda s: (s.value, s.id)) for k in sorted(groups)}
 
 
-def group_minima(groups: Mapping[int, Sequence[RectStat]]) -> dict[int, float]:
-    return {k: min(s.value for s in members) for k, members in groups.items()}
+def group_minima(groups: Mapping[int, Sequence[Rect]]) -> dict[int, float]:
+    """Least center value per group, from :func:`group_by_size` output."""
+    return {k: members[0].value for k, members in groups.items()}
 
 
-def larger_slope(stat: RectStat, minima: Mapping[int, float]) -> float:
+def larger_slope(stat: Rect, minima: Mapping[int, float]) -> float:
     """min over strictly larger groups of (value_q - value_p)/(size_q - size_p).
 
     For a fixed larger group the minimising rect is the one with the least
@@ -71,7 +78,7 @@ def larger_slope(stat: RectStat, minima: Mapping[int, float]) -> float:
     return best
 
 
-def smaller_slope(stat: RectStat, minima: Mapping[int, float]) -> float:
+def smaller_slope(stat: Rect, minima: Mapping[int, float]) -> float:
     """max over strictly smaller groups, floored at 0."""
     best = 0.0
     for key, vmin in minima.items():
@@ -82,7 +89,7 @@ def smaller_slope(stat: RectStat, minima: Mapping[int, float]) -> float:
     return best
 
 
-def optimal_score(stat: RectStat, minima: Mapping[int, float]) -> float:
+def optimal_score(stat: Rect, minima: Mapping[int, float]) -> float:
     """Width of the admissible local-slope bracket for ``stat``.
 
     Positive means some slope constant makes this rect the most promising
@@ -91,25 +98,8 @@ def optimal_score(stat: RectStat, minima: Mapping[int, float]) -> float:
     return larger_slope(stat, minima) - smaller_slope(stat, minima)
 
 
-def alpha_candidates(
-    group: Sequence[RectStat],
-    scores: Mapping[int, float],
-    alpha: int,
-) -> list[RectStat]:
-    """Up to ``alpha`` positive-score rects of one size, best score first.
-
-    Empty when no rect in the group scores above zero.  Ties are broken by
-    lower center value, then lower id.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
-    positive = [s for s in group if scores[s.id] > 0.0]
-    positive.sort(key=lambda s: (-scores[s.id], s.value, s.id))
-    return positive[:alpha]
-
-
 def sufficient_descent(
-    stat: RectStat,
+    stat: Rect,
     l_min: float,
     tau: float,
     minima: Mapping[int, float],
@@ -127,7 +117,7 @@ def sufficient_descent(
 
 
 def select_po(
-    stats: Iterable[RectStat],
+    stats: Iterable[Rect],
     alpha: int,
     tau: float,
     l_min: float,
@@ -137,17 +127,21 @@ def select_po(
 
     For each size group still divisible (depth key below ``max_depth``)
     the top-``alpha`` positive-score rects are kept if they also pass the
-    sufficient-descent test.  Ids come back ordered by group (largest
-    size first) then rank.
+    sufficient-descent test.  Score ties break on lower center value, then
+    lower id.  Ids come back ordered by group (largest size first) then
+    rank.
     """
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
     groups = group_by_size(stats)
     minima = group_minima(groups)
     selected: list[int] = []
     for key, group in groups.items():
         if key >= max_depth:
             continue
-        scores = {s.id: optimal_score(s, minima) for s in group}
-        for cand in alpha_candidates(group, scores, alpha):
-            if sufficient_descent(cand, l_min, tau, minima):
-                selected.append(cand.id)
+        for rect in group[:alpha]:
+            if optimal_score(rect, minima) <= 0.0:
+                break
+            if sufficient_descent(rect, l_min, tau, minima):
+                selected.append(rect.id)
     return selected

@@ -21,25 +21,6 @@ def sample_distance(depth: int, dim: int, space: ParamSpace) -> float:
     return 3.0 ** (-(depth + 1)) * float(space.ranges[dim])
 
 
-def local_slope(
-    center_value: float,
-    samples: Mapping[tuple[int, int], float],
-    distances: Mapping[int, float],
-) -> float:
-    """Largest per-sample slope magnitude around a divided center.
-
-    ``samples`` maps ``(dim, sign)`` to the value at the matching sample
-    point; ``distances`` gives the physical center-to-sample distance per
-    sampled dimension.
-    """
-    best = 0.0
-    for (dim, _), value in samples.items():
-        slope = abs(center_value - value) / distances[dim]
-        if slope > best:
-            best = slope
-    return best
-
-
 def sample_radius(depths: Sequence[int], space: ParamSpace) -> float:
     """Half the Manhattan sum of per-dimension sample distances."""
     return 0.5 * sum(
@@ -63,12 +44,13 @@ def estimate_lower_bound(
     space: ParamSpace,
     cover: bool = False,
 ) -> float:
-    """Estimated floor under the global minimum from the best rect.
+    """Floor under the objective on ``rect``: center value minus slope times radius.
 
-    ``rect`` must be the rect whose center achieved the current best
-    value.  With ``cover=False`` this is the running estimate driven by
-    observed slopes; with ``cover=True`` and a true Lipschitz constant it
-    is a certificate whenever the best rect contains the minimiser.
+    With ``cover=False`` this is the running estimate driven by observed
+    slopes, applied to the best rect.  With ``cover=True`` and a true
+    Lipschitz constant it is a certificate for every point of ``rect``,
+    so its minimum over the live rects, which tile the box, is a sound
+    bound on the global minimum.
     """
     radius = cover_radius(rect.depths, space) if cover else sample_radius(rect.depths, space)
     return rect.value - slope_max * radius
@@ -78,7 +60,7 @@ class SlopeTracker:
     """Running maximum of local slopes over every center ever divided.
 
     The maximum never decreases, matching the ever-growing index set of
-    queried centers; per-rect slopes live on the rects themselves.
+    queried centers.
     """
 
     def __init__(self, space: ParamSpace) -> None:
@@ -90,21 +72,20 @@ class SlopeTracker:
         center_value: float,
         samples: Mapping[tuple[int, int], float],
         depth: int,
-    ) -> tuple[float, dict[tuple[int, int], float]]:
-        """Record slopes from one division.
+    ) -> float:
+        """Record slopes from one division and return the center's local slope.
 
-        Returns the divided center's new local slope and the single-pair
-        slope seen at each sample point (the initial slope of the child
-        rect centered there).
+        ``samples`` maps ``(dim, sign)`` to the value at the matching sample
+        point; the local slope is the largest ``|center - sample| / distance``
+        in physical units.
         """
-        distances = {dim: sample_distance(depth, dim, self.space) for dim, _ in samples}
-        pair = {
-            key: abs(center_value - value) / distances[key[0]]
-            for key, value in samples.items()
-        }
-        k_c = max(pair.values()) if pair else 0.0
+        k_c = 0.0
+        for (dim, _), value in samples.items():
+            slope = abs(center_value - value) / sample_distance(depth, dim, self.space)
+            if slope > k_c:
+                k_c = slope
         if k_c > self.k_max:
             self.k_max = k_c
         if not math.isfinite(self.k_max):
             raise ValueError("non-finite slope observed")
-        return k_c, pair
+        return k_c

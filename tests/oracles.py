@@ -108,3 +108,66 @@ def warp_coordinate_grads_reference(image, matrix):
     d_dy = (1.0 - fc) * (v10 - v00) + fc * (v11 - v01)
     d_dy = np.where(fr == 0.0, (1.0 - fc) * v00 + fc * v01, d_dy)
     return d_dx, d_dy
+
+
+def _ref_group_size(depth_key):
+    return 0.5 * 3.0 ** (-depth_key)
+
+
+def _ref_larger_slope(stat, minima):
+    best = math.inf
+    for key, vmin in minima.items():
+        if key < stat.depth_key:
+            slope = (vmin - stat.value) / (_ref_group_size(key) - _ref_group_size(stat.depth_key))
+            if slope < best:
+                best = slope
+    return best
+
+
+def _ref_smaller_slope(stat, minima):
+    best = 0.0
+    for key, vmin in minima.items():
+        if key > stat.depth_key:
+            slope = (stat.value - vmin) / (_ref_group_size(stat.depth_key) - _ref_group_size(key))
+            if slope > best:
+                best = slope
+    return best
+
+
+def _ref_sufficient_descent(stat, l_min, tau, minima):
+    upper = _ref_larger_slope(stat, minima)
+    size = _ref_group_size(stat.depth_key)
+    if l_min != 0.0:
+        return tau <= (l_min - stat.value) / abs(l_min) + size * upper / abs(l_min)
+    return stat.value <= size * upper
+
+
+def select_po_reference(stats, alpha, tau, l_min, max_depth):
+    """Potentially-optimal ids by scoring every rect of every group.
+
+    The earlier selection rule, kept as written: each rect of a divisible
+    size group gets the score ``larger_slope - smaller_slope``; the top
+    ``alpha`` positive scores (ties on lower value, then lower id) are
+    kept when they pass the sufficient-descent test.  Ids are ordered by
+    group, largest size first, then rank.
+    """
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
+    groups = {}
+    for s in stats:
+        groups.setdefault(s.depth_key, []).append(s)
+    groups = {k: groups[k] for k in sorted(groups)}
+    minima = {k: min(s.value for s in members) for k, members in groups.items()}
+    selected = []
+    for key, group in groups.items():
+        if key >= max_depth:
+            continue
+        scores = {
+            s.id: _ref_larger_slope(s, minima) - _ref_smaller_slope(s, minima) for s in group
+        }
+        positive = [s for s in group if scores[s.id] > 0.0]
+        positive.sort(key=lambda s: (-scores[s.id], s.value, s.id))
+        for cand in positive[:alpha]:
+            if _ref_sufficient_descent(cand, l_min, tau, minima):
+                selected.append(cand.id)
+    return selected

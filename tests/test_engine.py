@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from warpcheck.engine import (
     run,
     verify,
 )
+from fixtures import build_fixture_examples, fixture_domain, fixture_model
+from warpcheck.objectives import MarginObjective, make_multi_basin
 from warpcheck.objectives import test_function as make_function
 from warpcheck.partition import ParamSpace
 
@@ -199,7 +203,71 @@ class TestVerify:
         json.dumps(record)  # structured record is serialisable as-is
 
 
+def _digest(trace) -> str:
+    return hashlib.sha256(trace.to_csv().encode()).hexdigest()
+
+
+class TestGoldenTraces:
+    """SHA-256 of ``to_csv()`` pinned for fixed configs.
+
+    Any change to selection, division order, the batch contents or the
+    slope bookkeeping shows up here as a changed digest.
+    """
+
+    def test_criterion_10_config(self):
+        fn = make_function("multi-basin")
+        space = ParamSpace([(0.0, 1.0), (0.0, 1.0)])
+        budget = BudgetConfig(max_iters=25, max_queries=2000, depth=6, alpha=2)
+        assert _digest(run(fn, space, budget)) == (
+            "e3c6bc710873671352d04934214438742998569cd4dccd360a08827ac410087f"
+        )
+
+    @pytest.mark.parametrize(
+        "alpha, digest",
+        [
+            (1, "d645540f6509915b09667a7e2e198181fb094b7a4fc833261db2d539d6f8c608"),
+            (2, "906656cc56325a6b10be4efd9653e77bb28d4032da49c2e52ccf2ef9d36f4190"),
+            (3, "f54b15e04958b6e4b2e0846f5b7077337c29427759531967104d26694c4a17b3"),
+        ],
+    )
+    def test_multi_basin(self, alpha, digest):
+        fn = make_function("multi-basin")
+        budget = BudgetConfig(max_iters=30, max_queries=3000, depth=6, alpha=alpha)
+        assert _digest(run(fn, fn.param_space(), budget)) == digest
+
+    def test_criterion_6_fixture_examples(self):
+        model, domain = fixture_model(), fixture_domain()
+        budget = BudgetConfig(max_iters=80, max_queries=3000, depth=6, alpha=2)
+        space = domain.param_space()
+        digests = [
+            _digest(run(MarginObjective(model, image, label, domain), space, budget))
+            for image, label in build_fixture_examples(count=4, seed=7)
+        ]
+        assert digests == [
+            "7ed9d569c8103151ebd1ed83b2f20ca73c1f9c52c8ce0bb35b379f66d07bd83e",
+            "b7396db55f102ef890b88bd8876bd2825cb46f08c3f75ee3b92a505f3c88cfda",
+            "93dcb15b298622ae5dae05dd00dd9b7c71515e1f626f7d61dc6fc8f012289756",
+            "cb8eb6c46bca38d56ad28b6e3de379d0ec9d569d30c557511830967ce967d707",
+        ]
+
+
 class TestKnownLipschitz:
+    def test_bound_below_grid_minimum_on_multi_basin(self):
+        # the bound covers every live rect, not only the best one: with the
+        # best rect alone, seeds 0, 1 and 12 here put it above the grid minimum
+        for seed in range(16):
+            fn = make_multi_basin(seed)
+            space = fn.param_space()
+            grid_min = grid_search(fn, space, 729).min_value
+            for max_iters in (10, 20):
+                for alpha in (1, 2):
+                    budget = BudgetConfig(
+                        max_iters=max_iters, max_queries=10**6, depth=6, alpha=alpha
+                    )
+                    trace = run(fn, space, budget, known_lipschitz=fn.lipschitz)
+                    for record in trace.records:
+                        assert record.l_star_min <= grid_min, (seed, max_iters, alpha)
+
     def test_supplied_constant_bounds_true_minimum(self):
         fn = make_function("abs1d")
         budget = BudgetConfig(max_iters=40, max_queries=4000, depth=6, alpha=1)

@@ -9,7 +9,6 @@ from warpcheck.partition import (
     ParamSpace,
     Partition,
     PartitionError,
-    init_space,
     sample_points,
 )
 
@@ -48,7 +47,7 @@ class TestParamSpace:
 
 class TestInitSpace:
     def test_two_dim(self):
-        part = init_space(ParamSpace([(-20.0, 20.0), (0.9, 1.1)]))
+        part = Partition(ParamSpace([(-20.0, 20.0), (0.9, 1.1)]).n)
         assert len(part) == 1
         rect = part.rects[0]
         assert np.array_equal(rect.center(), [0.5, 0.5])
@@ -56,12 +55,12 @@ class TestInitSpace:
         assert rect.depths == (0, 0)
 
     def test_one_dim(self):
-        part = init_space(ParamSpace([(0.0, 1.0)]))
+        part = Partition(ParamSpace([(0.0, 1.0)]).n)
         assert np.array_equal(part.rects[0].center(), [0.5])
         assert part.rects[0].size == 0.5
 
     def test_four_dim_volume(self):
-        part = init_space(ParamSpace([(0.0, 1.0)] * 4))
+        part = Partition(ParamSpace([(0.0, 1.0)] * 4).n)
         assert part.total_volume() == Fraction(1)
 
 
@@ -197,7 +196,7 @@ def _random_division_walk(n, divisions, seed, max_depth=None):
         candidates = [
             r.id
             for r in part
-            if max_depth is None or r.min_depth < max_depth
+            if max_depth is None or r.depth_key < max_depth
         ]
         if not candidates:
             break
@@ -221,12 +220,10 @@ class TestPartitionInvariants:
 
     def test_group_keys_match_sizes(self):
         part = _random_division_walk(2, 60, seed=5, max_depth=4)
-        groups = part.groups()
-        assert max(groups) <= 4
-        for key, ids in groups.items():
-            for i in ids:
-                assert part.rects[i].min_depth == key
-                assert part.rects[i].size == 0.5 * 3.0 ** (-key)
+        assert max(r.depth_key for r in part) <= 4
+        for r in part:
+            assert r.depth_key == min(r.depths)
+            assert r.size == 0.5 * 3.0 ** (-r.depth_key)
 
     def test_disjoint_interiors_desk_scale(self):
         part = _random_division_walk(2, 25, seed=11)
@@ -243,12 +240,9 @@ class TestPartitionInvariants:
 
     def test_centers_unique_and_exact(self):
         part = _random_division_walk(3, 80, seed=3)
-        keys = [r.center_key() for r in part]
-        assert len(keys) == len(set(keys))
-
-    def test_cache_key_identifies_point_across_depths(self):
-        # 1/2 at depth 0 equals 3/6 at depth 1
-        a = HyperRect(id=0, nums=(1,), depths=(0,))
-        b = HyperRect(id=1, nums=(3,), depths=(1,))
-        assert a.center_key() == b.center_key()
-        assert a.center()[0] == b.center()[0]
+        centers = [
+            tuple(Fraction(num, 2 * 3**d) for num, d in zip(r.nums, r.depths)) for r in part
+        ]
+        assert len(centers) == len(set(centers))
+        for r, exact in zip(part, centers):
+            assert r.center().tolist() == [float(c) for c in exact]

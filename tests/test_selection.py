@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import lemma_po_oracle
+from oracles import lemma_po_oracle, select_po_reference
 from warpcheck.partition import Partition, sample_points
 from warpcheck.selection import (
     RectStat,
-    alpha_candidates,
     group_by_size,
     group_minima,
     group_size,
     optimal_score,
     select_po,
-    stats_from_partition,
     sufficient_descent,
 )
 
@@ -49,32 +47,36 @@ class TestOptimalScore:
 
 class TestAlphaCandidates:
     def test_ranks_positive_scores(self):
-        group = [RectStat(4, 1, 0.0), RectStat(7, 1, 0.0), RectStat(9, 1, 0.0)]
-        scores = {4: 2.0, 7: -1.0, 9: 0.5}
-        picked = alpha_candidates(group, scores, alpha=2)
-        assert [s.id for s in picked] == [4, 9]
+        # group 1 scores: id 4 (value 3) 18, id 9 (value 4) 15, id 7
+        # (value 12) (9 - 12) / (1/2 - 1/6) = -9
+        stats = [
+            RectStat(0, 0, 9.0), RectStat(4, 1, 3.0), RectStat(7, 1, 12.0), RectStat(9, 1, 4.0)
+        ]
+        minima = _minima(stats)
+        assert [optimal_score(s, minima) for s in stats[1:]] == pytest.approx([18.0, -9.0, 15.0])
+        assert select_po(stats, alpha=2, tau=1e-4, l_min=3.0, max_depth=6) == [0, 4, 9]
+        assert select_po(stats, alpha=3, tau=1e-4, l_min=3.0, max_depth=6) == [0, 4, 9]
 
     def test_empty_when_all_scores_nonpositive(self):
-        group = [RectStat(1, 1, 0.0), RectStat(2, 1, 1.0)]
-        assert alpha_candidates(group, {1: -0.5, 2: 0.0}, alpha=3) == []
+        # group 1 scores: id 1 (value 1) exactly 0, id 2 (value 2) -3
+        stats = [RectStat(0, 0, 1.0), RectStat(1, 1, 1.0), RectStat(2, 1, 2.0)]
+        minima = _minima(stats)
+        assert optimal_score(stats[1], minima) == 0.0
+        assert optimal_score(stats[2], minima) < 0.0
+        assert select_po(stats, alpha=3, tau=1e-4, l_min=1.0, max_depth=6) == [0]
 
     def test_alpha_one_picks_group_value_minimum(self):
         # within one size group the least center value has the best score
         stats = [RectStat(0, 0, 9.0)] + [RectStat(i, 1, v) for i, v in ((1, 3.0), (2, 5.0), (3, 4.0))]
-        minima = _minima(stats)
-        group = [s for s in stats if s.depth_key == 1]
-        scores = {s.id: optimal_score(s, minima) for s in group}
-        picked = alpha_candidates(group, scores, alpha=1)
-        assert [s.id for s in picked] == [1]
+        assert select_po(stats, alpha=1, tau=1e-4, l_min=3.0, max_depth=6) == [0, 1]
 
     def test_infinite_score_ties_break_on_value(self):
-        group = [RectStat(3, 0, 2.0), RectStat(5, 0, 1.0)]
-        scores = {3: math.inf, 5: math.inf}
-        assert [s.id for s in alpha_candidates(group, scores, alpha=1)] == [5]
+        stats = [RectStat(3, 0, 2.0), RectStat(5, 0, 1.0)]
+        assert select_po(stats, alpha=1, tau=1e-4, l_min=1.0, max_depth=6) == [5]
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
-            alpha_candidates([], {}, alpha=0)
+            select_po([], alpha=0, tau=1e-4, l_min=0.0, max_depth=6)
 
 
 class TestSufficientDescent:
@@ -106,7 +108,7 @@ class TestSelectPo:
     def test_initial_cube_selected(self):
         part = Partition(2)
         part.rects[0].value = 1.5
-        assert select_po(stats_from_partition(part), 1, 1e-4, 1.5, 6) == [0]
+        assert select_po(part, 1, 1e-4, 1.5, 6) == [0]
 
     def test_three_rect_configuration(self):
         # largest rect by infinite score; middle passes the descent test
@@ -173,7 +175,46 @@ class TestLemmaOracleAgreement:
                 points = sample_points(rect)
                 results = {(p.dim, p.sign): float(rng.normal()) for p in points}
                 part.divide(rect.id, results)
-            stats = stats_from_partition(part)
+            stats = list(part)
             l_min = min(s.value for s in stats)
             mine = set(select_po(stats, 1, 1e-4, l_min, max_depth=9))
             assert mine == lemma_po_oracle(stats, 1e-4, l_min)
+
+
+def _random_partition(rng, n, divisions, round_to):
+    part = Partition(n)
+    part.rects[0].value = float(np.round(rng.normal(), round_to))
+    for _ in range(divisions):
+        rect = part.rects[int(rng.choice(list(part.rects)))]
+        results = {(p.dim, p.sign): float(np.round(rng.normal(), round_to))
+                   for p in sample_points(rect)}
+        part.divide(rect.id, results)
+    return part
+
+
+class TestMatchesScoreEveryRectReference:
+    """Ordered-list equality with the rule that scores every rect of a group."""
+
+    @pytest.mark.parametrize("max_depth", [3, 6])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+    def test_random_stats_with_ties(self, alpha, max_depth):
+        rng = np.random.default_rng(100 * alpha + max_depth)
+        for trial in range(300):
+            stats = [
+                RectStat(i, int(rng.integers(0, 6)), float(np.round(rng.normal(), 1)))
+                for i in range(int(rng.integers(1, 30)))
+            ]
+            l_min = 0.0 if trial % 3 == 0 else min(s.value for s in stats)
+            tau = float(rng.choice([1e-3, 1e-4, 1e-5]))
+            want = select_po_reference(stats, alpha, tau, l_min, max_depth)
+            assert select_po(stats, alpha, tau, l_min, max_depth) == want, f"trial {trial}"
+
+    @pytest.mark.parametrize("max_depth", [3, 6])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+    def test_live_partitions(self, alpha, max_depth):
+        rng = np.random.default_rng(1000 + 10 * alpha + max_depth)
+        for trial in range(40):
+            part = _random_partition(rng, int(rng.integers(1, 4)), 15, round_to=1)
+            l_min = 0.0 if trial % 4 == 0 else min(r.value for r in part)
+            want = select_po_reference(list(part), alpha, 1e-4, l_min, max_depth)
+            assert select_po(part, alpha, 1e-4, l_min, max_depth) == want, f"trial {trial}"
