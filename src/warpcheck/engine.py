@@ -16,9 +16,8 @@ tracked as the live rect centered there.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
