@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +273,168 @@ class TestCompare:
         rows = [r for r in (tmp_path / "compare.csv").read_text().splitlines()
                 if not r.startswith("#")]
         assert rows == ["method,verified_acc,mean_queries,mean_runtime_s,match_rate"]
+
+
+def _masked_digest(path, subs):
+    """SHA-256 of an output file with timings and tmp paths masked."""
+    text = path.read_text()
+    for old, new in subs:
+        text = text.replace(old, new)
+    text = re.sub(r'("(?:mean_)?runtime_s": )[^,\n]+', r"\1<t>", text)
+    lines, timed = [], None
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            cells = line.split(",")
+            if timed is None:
+                timed = [i for i, c in enumerate(cells) if c in ("runtime_s", "mean_runtime_s")]
+            else:
+                for i in timed:
+                    cells[i] = "<t>"
+            line = ",".join(cells)
+        lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Exit code and digests of every output file, timings and tmp paths masked.
+
+    Pins the command line's outputs byte for byte (apart from wall-clock
+    cells) over flags, config files, overrides, --skip-misclassified and
+    empty image lists for all three subcommands.
+    """
+
+    GOLDEN = {
+        "optimize-flags": (0, {
+            "summary.txt": "b789c7e561564de9b1f1a2cefa79509f7558a0f29e09a3b85fc8a9c37347da4a",
+            "trace.csv": "bc389b54880af7d149dad1c054dec9307bbc579df0bae965fe9f8b84aa85169c",
+        }),
+        "optimize-config": (0, {
+            "summary.txt": "e4a709fdd2ae2eec85d0f81f22b6014a92e7cf97c4970823f0b34fbe675ddb57",
+            "trace.csv": "f2ce22e68bafa6e4b163b28554a6876a6a2c1e5438ee47d665fdda9d84345aa9",
+        }),
+        "verify-flags": (0, {
+            "results.csv": "67d9085cb2f735e2c04a3dc9bcaca451fb119871d673c66c31b6d14eaf959809",
+            "summary.txt": "b0208a31a59ff05f098a5f8c1207b207c7e4691d90ff3194cf67ff02b6e5a475",
+        }),
+        "verify-skip": (0, {
+            "results.csv": "933a622d700a31fdd81d739be4216be00b3a27e65c12af178d3a27cb6d241363",
+            "summary.txt": "bc64f357acfb4091f2ffcddb803ae8dbca93cf319b7994351cf6530fc6b25cc5",
+        }),
+        "verify-config": (0, {
+            "results.csv": "056cfbb0a60dce271570899d45836bd637cd969370bf866930bf25df91adcf15",
+            "summary.txt": "56b6167aed4c18a3e97d84068e9684553932a25c2d4c94796a1c0a8a517ecb0f",
+        }),
+        "verify-empty": (0, {
+            "results.csv": "5331944d394596ec982347202c6f0645a56aadac8883e03f62ca8d33b539fe89",
+            "summary.txt": "b6df3b1b9cd76ba6980fc6cf5d8bed1b647d1e13504731ad173a6b127ad5103a",
+        }),
+        "compare-flags": (0, {
+            "compare.csv": "9a57ab2441b70eb7b2885c38203a7a8fc3970d3b313b008f7edc10fc282a9a4b",
+            "details.csv": "beaaaf4cfbf23a83f232307cfc0e5ef0d05cb22df8bb56e49f14b53ebd5af4ac",
+            "summary.txt": "65797aad03d59cdaee13187a3e408d8f28934cf3d44a49d4e77ed0b76a999ae2",
+        }),
+        "compare-skip": (0, {
+            "compare.csv": "c378f16220993bffd1b5a3f64f9e02ada4241626c6527e514004069e54c0241d",
+            "details.csv": "aaa7df0a47cd7d56b02ccbe854eec8c62b55617402924d50df3241aa90b1a238",
+            "summary.txt": "19e34f2352840476996cc5637e7b71b957809082c2b5b10e0bdeaa6fcacc0009",
+        }),
+        "compare-config": (0, {
+            "compare.csv": "1f68d383ba40df86fd8f31c71cf5e98c7f9d1b51e18eeb2b1f304206e42a7bde",
+            "details.csv": "282e8f9913ddd664d2b9069834444fd587595cc5eea46f28cb442a49a3a73955",
+            "summary.txt": "e6e4b577e84158a79686531402f36b4048d49db2cd6279394d25a633081c43aa",
+        }),
+        "compare-empty": (0, {
+            "compare.csv": "e1b117f428a1da0b046ff484cf9d7825d606b70f3e1a3161049ba33b66846ff8",
+            "details.csv": "37b5933348a039a149fe1455d3365fae79ba2a0f9088a9ef8678b93b5544470b",
+            "summary.txt": "2fa0376c612795094b4a5efed8d99a03f83d2cdaa2136f3b56fdc45b63c4ccb3",
+        }),
+    }
+
+    @pytest.fixture
+    def invoke(self, model_dir, tmp_path):
+        path, names = model_dir
+        labels = (path / "labels.txt").read_text().split()
+        wrong = [str(1 - int(label)) for label in labels]
+        weights = str(path / "net.txt")
+        out = tmp_path / "out"
+        configs = {
+            "optimize-config": (
+                "[function]\nname = abs1d\nbounds = 0,1\n"
+                "[search]\ndepth = 4\nalpha = 1\nmax_iters = 9\nmax_queries = 50\n"
+                f"[output]\ndir = {out}\n"
+            ),
+            "verify-config": (
+                f"[model]\nweights = {weights}\n"
+                f"[data]\nimages = {' '.join(names)}\nlabels = {path / 'labels.txt'}\n"
+                "[search]\ndepth = 4\nmax_iters = 5\nmax_queries = 200\n"
+                "skip_misclassified = yes\n"
+                "[rotation]\nrange = 15\n[scale]\nrange = 0.05\n"
+                "[translate]\nrange = 1,0.5\n"
+                f"[output]\ndir = {out}\n"
+            ),
+            "compare-config": (
+                f"[model]\nweights = {weights}\n"
+                f"[data]\nimages = {' '.join(names[:3])}\nlabels = {','.join(labels[:3])}\n"
+                "[search]\ndepth = 4\nmax_iters = 6\nmax_queries = 200\nseed = 4\n"
+                "[rotation]\nrange = 20\n[translate]\nrange = 1.2\n"
+                "[oracle]\ngrid = 3\nrandom = 50\nmatch_tolerance = 0.01\n"
+                f"[output]\ndir = {out}\n"
+            ),
+        }
+        model = ["--weights", weights]
+        small = ["--depth", "4", "--max-iters", "8", "--max-queries", "300"]
+        argv = {
+            "optimize-flags": [
+                "optimize", "--fn", "multi-basin", "--bounds", "0,1,0,1", "--depth", "5",
+                "--alpha", "2", "--max-iters", "12", "--tau", "1e-3",
+            ],
+            "optimize-config": ["optimize", "--depth", "5", "--seed", "2"],
+            "verify-flags": [
+                "verify", *model, "--images", *names[:4], "--labels", ",".join(labels[:4]),
+                "--rotation", "20", "--scale", "0.1", "--translate", "1.6,1.6",
+                *small, "--alpha", "2", "--tau", "1e-3", "--seed", "5",
+            ],
+            "verify-skip": [
+                "verify", *model, "--images", *names[:3],
+                "--labels", ",".join([wrong[0], *labels[1:3]]),
+                "--rotation", "10", "--translate", "1", *small, "--skip-misclassified",
+            ],
+            "verify-config": ["verify", "--alpha", "1"],
+            "verify-empty": ["verify", *model, "--images", "--rotation", "10"],
+            "compare-flags": [
+                "compare", *model, "--images", *names[:4], "--labels", ",".join(labels[:4]),
+                "--rotation", "20", "--scale", "0.1", "--translate", "1.6,1.6", *small,
+                "--oracle-grid", "4", "--oracle-random", "100", "--seed", "1",
+                "--match-tolerance", "0.05",
+            ],
+            "compare-skip": [
+                "compare", *model, "--images", *names[:3],
+                "--labels", ",".join([labels[0], wrong[1], labels[2]]),
+                "--rotation", "15", "--scale", "0.05", *small,
+                "--oracle-grid", "3", "--oracle-random", "60", "--skip-misclassified",
+            ],
+            "compare-config": ["compare"],
+            "compare-empty": ["compare", *model, "--images", "--rotation", "10"],
+        }
+
+        def run(case):
+            args = list(argv[case])
+            if case in configs:
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text(configs[case])
+                args += ["--config", str(cfg)]
+            else:
+                args += ["--out", str(out)]
+            code = main(args)
+            subs = [(str(tmp_path), "<tmp>"), (str(path), "<fixture>")]
+            return code, {f.name: _masked_digest(f, subs) for f in sorted(out.iterdir())}
+
+        return run
+
+    @pytest.mark.parametrize("case", [
+        "optimize-flags", "optimize-config", "verify-flags", "verify-skip",
+        "verify-config", "verify-empty", "compare-flags", "compare-skip",
+        "compare-config", "compare-empty",
+    ])
+    def test_outputs(self, invoke, case):
+        assert invoke(case) == self.GOLDEN[case]
