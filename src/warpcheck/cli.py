@@ -2,10 +2,17 @@
 
 Configuration comes from ``key = value`` files with one section per
 transformation plus ``[search]``, ``[model]``, ``[data]``, ``[oracle]``
-and ``[output]`` sections; every flag has a config-file key and flags win
-over the file.  The effective configuration is echoed into each output
-header so results are self-describing.  Outputs carry a schema version
-line for downstream tooling.
+and ``[output]`` sections.  ``OPTIONS`` maps every flag to its config key,
+type and default, and flags win over the file.  The effective
+configuration is echoed into each output header so results are
+self-describing.  Outputs carry a schema version line for downstream
+tooling.
+
+An example whose image, model call or search raises is reported (verdict
+``error`` in ``verify``, left out of ``attacked`` in ``compare``, listed
+under ``errors`` in the summary) and the batch goes on.  Exit codes: 0 on
+success, 1 for a runtime failure or a failed example (after every output
+is written), 2 for a usage or config error.
 """
 
 from __future__ import annotations
@@ -15,12 +22,13 @@ import configparser
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import grid_search, match_metric, random_pick
-from .engine import FALSIFIED, VERIFIED_ESTIMATE, BudgetConfig, run, verify
+from .engine import FALSIFIED, VERIFIED_ESTIMATE, BudgetConfig, ObjectiveError, run, verify
 from .images import read_image
 from .netfwd import forward, load_weights
 from .objectives import MarginObjective, TransformDomain, test_function
@@ -28,50 +36,59 @@ from .partition import ParamSpace
 
 OUTPUT_VERSION = "warpcheck-output v1"
 CLEAN_ERROR = "clean-error"
-
-# flag destination -> (config section, config key)
-KEYMAP = {
-    "fn": ("function", "name"),
-    "bounds": ("function", "bounds"),
-    "weights": ("model", "weights"),
-    "images": ("data", "images"),
-    "labels": ("data", "labels"),
-    "rotation": ("rotation", "range"),
-    "scale": ("scale", "range"),
-    "translate": ("translate", "range"),
-    "depth": ("search", "depth"),
-    "alpha": ("search", "alpha"),
-    "tau": ("search", "tau"),
-    "max_iters": ("search", "max_iters"),
-    "max_queries": ("search", "max_queries"),
-    "seed": ("search", "seed"),
-    "skip_misclassified": ("search", "skip_misclassified"),
-    "oracle_grid": ("oracle", "grid"),
-    "oracle_random": ("oracle", "random"),
-    "match_tolerance": ("oracle", "match_tolerance"),
-    "out": ("output", "dir"),
-}
-
-DEFAULTS = {
-    "depth": 6,
-    "alpha": 2,
-    "tau": 1e-4,
-    "max_iters": 150,
-    "max_queries": 2000,
-    "seed": 0,
-    "rotation": 0.0,
-    "scale": 0.0,
-    "translate": "0,0",
-    "skip_misclassified": False,
-    "oracle_grid": 5,
-    "oracle_random": 1000,
-    "match_tolerance": 0.0,
-    "out": ".",
-}
+ERROR = "error"
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# flag destination -> (config section, config key, type, default, help).
+# The type casts config values and, for int and float, flags; ``str.split``
+# marks a list flag and ``_parse_bool`` an on-switch.  --config has no key.
+OPTIONS = {
+    "config": (None, None, str, None, "key = value config file"),
+    "depth": ("search", "depth", int, 6, "max trisections per dimension (D)"),
+    "alpha": ("search", "alpha", int, 2, "candidates kept per size group"),
+    "tau": ("search", "tau", float, 1e-4, "minimum relative improvement"),
+    "max_iters": ("search", "max_iters", int, 150, "iteration cap (T)"),
+    "max_queries": ("search", "max_queries", int, 2000, "query cap (Q)"),
+    "seed": ("search", "seed", int, 0, "seed for randomised baselines"),
+    "out": ("output", "dir", str, ".", "output directory"),
+    "fn": ("function", "name", str, None, "test function name (e.g. abs1d, multi-basin)"),
+    "bounds": ("function", "bounds", str, None, "comma-separated lo,hi per dimension"),
+    "weights": ("model", "weights", str, None, "weight file for the classifier"),
+    "images": ("data", "images", str.split, None, "image files (.pgm/.ppm/.txt)"),
+    "labels": ("data", "labels", str, None, "label file or comma-separated integers"),
+    "rotation": ("rotation", "range", float, 0.0, "rotation range, +- degrees"),
+    "scale": ("scale", "range", float, 0.0, "scale range, 1 +- value"),
+    "translate": ("translate", "range", str, "0,0", "translation range, pixels: 'h,v'"),
+    "skip_misclassified": ("search", "skip_misclassified", _parse_bool, False,
+                           "report clean mistakes instead of attacking them"),
+    "oracle_grid": ("oracle", "grid", int, 5, "grid points per dimension"),
+    "oracle_random": ("oracle", "random", int, 1000, "random samples per example"),
+    "match_tolerance": ("oracle", "match_tolerance", float, 0.0, "slack for the match rule"),
+}
+
+_SEARCH = ("config", "depth", "alpha", "tau", "max_iters", "max_queries", "seed", "out")
+_MODEL = ("weights", "images", "labels", "rotation", "scale", "translate", "skip_misclassified")
+
+# subcommand -> (help, the OPTIONS it accepts)
+COMMANDS = {
+    "optimize": ("minimise a named test function", _SEARCH + ("fn", "bounds")),
+    "verify": ("robustness verdict per example", _SEARCH + _MODEL),
+    "compare": ("side-by-side with grid and random baselines",
+                _SEARCH + _MODEL + ("oracle_grid", "oracle_random", "match_tolerance")),
+}
 
 
 class Resolver:
@@ -86,17 +103,17 @@ class Resolver:
                 raise ConfigError(f"cannot read config file {config_path}")
         self.effective: dict[str, str] = {}
 
-    def get(self, dest: str, cast=str, required: bool = False):
-        section, key = KEYMAP[dest]
-        value = getattr(self.args, dest, None)
+    def get(self, dest: str, required: bool = False):
+        section, key, kind, default, _ = OPTIONS[dest]
+        value = getattr(self.args, dest)
         if value is None and self.file.has_option(section, key):
             raw = self.file.get(section, key)
             try:
-                value = cast(raw) if cast is not bool else _parse_bool(raw)
+                value = kind(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad config value {section}.{key} = {raw!r}: {exc}")
         if value is None:
-            value = DEFAULTS.get(dest)
+            value = default
         if value is None and required:
             raise ConfigError(f"missing required option --{dest.replace('_', '-')} "
                               f"(config key {section}.{key})")
@@ -105,26 +122,25 @@ class Resolver:
         return value
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _format_value(value) -> str:
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     return str(value)
 
 
+def _floats(dest: str, parts: list[str]) -> list[float]:
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        section, key = OPTIONS[dest][:2]
+        raise ConfigError(f"bad --{dest} value (config key {section}.{key}): {exc}")
+
+
 def _parse_bounds(raw: str) -> list[tuple[float, float]]:
     parts = [p for p in raw.replace(";", ",").split(",") if p.strip() != ""]
     if len(parts) == 0 or len(parts) % 2 != 0:
-        raise ValueError(f"bounds need lo,hi pairs, got {raw!r}")
-    values = [float(p) for p in parts]
+        raise ConfigError(f"--bounds needs lo,hi pairs, got {raw!r}")
+    values = _floats("bounds", parts)
     return [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
 
 
@@ -133,14 +149,8 @@ def _parse_pair(raw: str) -> tuple[float, float]:
     if len(parts) == 1:
         parts = parts * 2
     if len(parts) != 2:
-        raise ValueError(f"expected one or two comma-separated values, got {raw!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_images(raw) -> list[str]:
-    if isinstance(raw, list):
-        return raw
-    return raw.split()
+        raise ConfigError(f"--translate needs one or two comma-separated values, got {raw!r}")
+    return tuple(_floats("translate", parts))
 
 
 def _parse_labels(raw: str, count: int) -> list[int]:
@@ -164,11 +174,16 @@ def _header_lines(command: str, effective: dict[str, str]) -> list[str]:
     return lines
 
 
-def _write_summary(outdir: Path, command: str, effective: dict[str, str], payload: dict) -> None:
+def _write_summary(outdir: Path, command: str, effective: dict[str, str], payload: dict,
+                   errors: dict[int, str] | None = None) -> int:
+    """Write and echo the summary, listing failed examples; return the exit code."""
+    if errors:
+        payload["errors"] = errors
     text = "\n".join(_header_lines(command, effective))
     text += "\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (outdir / "summary.txt").write_text(text)
     sys.stdout.write(text)
+    return 1 if errors else 0
 
 
 def _write_csv(path: Path, command: str, effective: dict[str, str],
@@ -187,19 +202,20 @@ def _cell(value) -> str:
 
 
 def _budget(res: Resolver) -> BudgetConfig:
-    return BudgetConfig(
-        max_iters=res.get("max_iters", int),
-        max_queries=res.get("max_queries", int),
-        depth=res.get("depth", int),
-        alpha=res.get("alpha", int),
-        tau=res.get("tau", float),
-    )
+    fields = ("max_iters", "max_queries", "depth", "alpha", "tau")
+    return BudgetConfig(**{dest: res.get(dest) for dest in fields})
 
 
 def _outdir(res: Resolver) -> Path:
     out = Path(res.get("out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
 
 
 def cmd_optimize(res: Resolver) -> int:
@@ -212,79 +228,75 @@ def cmd_optimize(res: Resolver) -> int:
     bounds = _parse_bounds(bounds_raw)
     if len(bounds) != fn.dim:
         raise ConfigError(f"{name} is {fn.dim}-dimensional but {len(bounds)} bounds given")
-    space = ParamSpace(bounds)
-
-    start = time.perf_counter()
-    trace = run(fn, space, budget)
-    elapsed = time.perf_counter() - start
+    trace, elapsed = _timed(run, fn, ParamSpace(bounds), budget)
 
     trace_path = outdir / "trace.csv"
-    with open(trace_path, "w", newline="\n") as fh:
-        for line in _header_lines("optimize", res.effective):
-            fh.write(line + "\n")
-        fh.write(trace.to_csv())
+    header = _header_lines("optimize", res.effective)
+    trace_path.write_text("\n".join([*header, trace.to_csv()]), newline="\n")
     payload = trace.summary()
     payload["function"] = name
     payload["runtime_s"] = elapsed
     payload["trace"] = str(trace_path)
-    _write_summary(outdir, "optimize", res.effective, payload)
-    return 0
+    return _write_summary(outdir, "optimize", res.effective, payload)
 
 
-def _load_examples(res: Resolver):
+def _examples(res: Resolver, attack):
+    """Run ``attack(space, index, objective)`` on each example of the batch.
+
+    Returns ``(index, path, label, objective, outcome)`` per example, with
+    ``outcome`` None for a failed example or a skipped clean mistake, and
+    ``{index: message}`` for the examples whose image, model or search raised.
+    """
+    skip = res.get("skip_misclassified")
     weights_path = res.get("weights", required=True)
-    images_raw = res.get("images", _parse_images, required=True)
-    image_paths = _parse_images(images_raw)
+    paths = res.get("images", required=True)
     net = load_weights(weights_path)
+    raw_labels = res.get("labels", required=bool(paths))
+    labels = _parse_labels(raw_labels, len(paths)) if paths else []
+    domain = TransformDomain.from_ranges(rotation=res.get("rotation"), scale=res.get("scale"),
+                                         translate=_parse_pair(res.get("translate")))
+    space = domain.param_space() if paths else None
     model = lambda batch: forward(net, batch)
-    images = [read_image(p) for p in image_paths]
-    if image_paths:
-        labels_raw = res.get("labels", required=True)
-        labels = _parse_labels(labels_raw, len(image_paths))
-    else:
-        res.get("labels")
-        labels = []
-    domain = TransformDomain.from_ranges(
-        rotation=res.get("rotation", float),
-        scale=res.get("scale", float),
-        translate=_parse_pair(str(res.get("translate"))),
-    )
-    return model, image_paths, images, labels, domain
 
-
-def _clean_skipped(objective, skip: bool) -> bool:
-    return skip and objective.clean_margin <= 0.0
+    examples, errors = [], {}
+    for i, (path, label) in enumerate(zip(paths, labels)):
+        objective = outcome = None
+        try:
+            objective = MarginObjective(model, read_image(path), label, domain)
+            if not (skip and objective.clean_margin <= 0.0):
+                outcome = attack(space, i, objective)
+        except (OSError, ValueError, ObjectiveError) as exc:
+            errors[i] = str(exc)
+            sys.stderr.write(f"error: example {i} ({path}): {exc}\n")
+        examples.append((i, path, label, objective, outcome))
+    return examples, errors
 
 
 def cmd_verify(res: Resolver) -> int:
     budget = _budget(res)
-    skip = res.get("skip_misclassified", bool)
     outdir = _outdir(res)
-    model, paths, images, labels, domain = _load_examples(res)
-    space = domain.param_space() if paths else None
+    examples, errors = _examples(res, lambda space, i, objective: (
+        objective.clean_margin, *_timed(verify, objective, space, budget)))
 
     columns = ["index", "image", "label", "verdict", "clean_margin", "l_min",
                "l_star_min", "witness", "queries", "runtime_s"]
     rows = []
-    counts = {VERIFIED_ESTIMATE: 0, FALSIFIED: 0, "undecided": 0, CLEAN_ERROR: 0}
-    for i, (path, image, label) in enumerate(zip(paths, images, labels)):
-        objective = MarginObjective(model, image, label, domain)
-        clean = objective.clean_margin
-        start = time.perf_counter()
-        if _clean_skipped(objective, skip):
-            counts[CLEAN_ERROR] += 1
-            rows.append([i, path, label, CLEAN_ERROR, clean, clean, "", "", 0,
-                         time.perf_counter() - start])
-            continue
-        result = verify(objective, space, budget)
-        elapsed = time.perf_counter() - start
-        counts[result.status] += 1
-        witness = ";".join(repr(float(v)) for v in result.witness) if result.witness is not None else ""
-        rows.append([i, path, label, result.status, clean, result.l_min,
-                     result.l_star_min, witness, result.queries, elapsed])
+    for i, path, label, objective, outcome in examples:
+        if i in errors:
+            verdict, cells = ERROR, [""] * 6
+        elif outcome is None:
+            clean = objective.clean_margin
+            verdict, cells = CLEAN_ERROR, [clean, clean, "", "", 0, 0.0]
+        else:
+            clean, result, elapsed = outcome
+            witness = ";".join(repr(float(v)) for v in result.witness) if result.witness is not None else ""
+            verdict, cells = result.status, [clean, result.l_min, result.l_star_min, witness,
+                                             result.queries, elapsed]
+        rows.append([i, path, label, verdict, *cells])
 
     _write_csv(outdir / "results.csv", "verify", res.effective, columns, rows)
-    total = len(paths)
+    total = len(examples)
+    counts = Counter(row[3] for row in rows)
     payload = {
         "examples": total,
         "verified": counts[VERIFIED_ESTIMATE],
@@ -294,83 +306,49 @@ def cmd_verify(res: Resolver) -> int:
         "verified_accuracy": counts[VERIFIED_ESTIMATE] / total if total else 0.0,
         "results": str(outdir / "results.csv"),
     }
-    _write_summary(outdir, "verify", res.effective, payload)
-    return 0
+    return _write_summary(outdir, "verify", res.effective, payload, errors)
 
 
 def cmd_compare(res: Resolver) -> int:
     budget = _budget(res)
-    skip = res.get("skip_misclassified", bool)
-    seed = res.get("seed", int)
-    grid_points = res.get("oracle_grid", int)
-    random_samples = res.get("oracle_random", int)
-    tolerance = res.get("match_tolerance", float)
+    seed = res.get("seed")
+    grid_points = res.get("oracle_grid")
+    random_samples = res.get("oracle_random")
+    tolerance = res.get("match_tolerance")
     outdir = _outdir(res)
-    model, paths, images, labels, domain = _load_examples(res)
-    space = domain.param_space() if paths else None
 
-    detail_cols = ["index", "method", "min_value", "queries", "runtime_s", "match"]
-    details = []
-    per_method: dict[str, dict[str, list]] = {
-        m: {"mins": [], "queries": [], "runtime": [], "match": []}
-        for m in ("warpcheck", "grid", "random")
-    }
-    attacked = 0
-    for i, (path, image, label) in enumerate(zip(paths, images, labels)):
-        objective = MarginObjective(model, image, label, domain)
-        if _clean_skipped(objective, skip):
-            continue
-        attacked += 1
+    def attack(space, i, objective):
+        trace, t_engine = _timed(run, objective, space, budget)
+        grid, t_grid = _timed(grid_search, objective, space, grid_points)
+        rand, t_rand = _timed(random_pick, objective, space, random_samples, seed + i)
+        outcomes = [("warpcheck", trace.l_min, trace.queries, t_engine),
+                    ("grid", grid.min_value, grid.n_points, t_grid),
+                    ("random", rand.min_value, rand.n_points, t_rand)]
+        return [[i, method, value, queries, elapsed,
+                 int(match_metric(value, grid.min_value, tolerance))]
+                for method, value, queries, elapsed in outcomes]
 
-        start = time.perf_counter()
-        trace = run(objective, space, budget)
-        t_engine = time.perf_counter() - start
-        start = time.perf_counter()
-        grid = grid_search(objective, space, grid_points)
-        t_grid = time.perf_counter() - start
-        start = time.perf_counter()
-        rand = random_pick(objective, space, random_samples, seed + i)
-        t_rand = time.perf_counter() - start
+    examples, errors = _examples(res, attack)
+    details = [row for *_, outcome in examples if outcome for row in outcome]
+    attacked = sum(1 for *_, outcome in examples if outcome)
 
-        outcomes = {
-            "warpcheck": (trace.l_min, trace.queries, t_engine),
-            "grid": (grid.min_value, grid.n_points, t_grid),
-            "random": (rand.min_value, rand.n_points, t_rand),
-        }
-        for method, (value, queries, elapsed) in outcomes.items():
-            matched = match_metric(value, grid.min_value, tolerance)
-            per_method[method]["mins"].append(value)
-            per_method[method]["queries"].append(queries)
-            per_method[method]["runtime"].append(elapsed)
-            per_method[method]["match"].append(matched)
-            details.append([i, method, value, queries, elapsed, int(matched)])
-
+    methods = {}
+    for method in ("warpcheck", "grid", "random"):
+        mine = [row[2:] for row in details if row[1] == method]
+        if mine:
+            values, queries, runtimes, matches = zip(*mine)
+            methods[method] = {"verified_acc": sum(v > 0.0 for v in values) / attacked,
+                               "mean_queries": float(np.mean(queries)),
+                               "mean_runtime_s": float(np.mean(runtimes)),
+                               "match_rate": sum(matches) / attacked}
     columns = ["method", "verified_acc", "mean_queries", "mean_runtime_s", "match_rate"]
-    rows = []
-    for method, data in per_method.items():
-        if attacked:
-            survived = sum(1 for v in data["mins"] if v > 0.0)
-            rows.append([
-                method,
-                survived / attacked,
-                float(np.mean(data["queries"])),
-                float(np.mean(data["runtime"])),
-                sum(data["match"]) / attacked,
-            ])
+    rows = [[method, *[stats[c] for c in columns[1:]]] for method, stats in methods.items()]
+    detail_cols = ["index", "method", "min_value", "queries", "runtime_s", "match"]
     _write_csv(outdir / "compare.csv", "compare", res.effective, columns, rows)
     _write_csv(outdir / "details.csv", "compare", res.effective, detail_cols, details)
-    payload = {
-        "examples": len(paths),
-        "attacked": attacked,
-        "methods": {
-            row[0]: {"verified_acc": row[1], "mean_queries": row[2],
-                     "mean_runtime_s": row[3], "match_rate": row[4]}
-            for row in rows
-        },
-        "compare": str(outdir / "compare.csv"),
-    }
-    _write_summary(outdir, "compare", res.effective, payload)
-    return 0
+    payload = {"examples": len(examples), "attacked": attacked, "methods": methods,
+               "compare": str(outdir / "compare.csv")}
+    return _write_summary(outdir, "compare", res.effective, payload, errors)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -379,46 +357,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case geometric transformation search and robustness checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--depth", type=int, help="max trisections per dimension (D)")
-        p.add_argument("--alpha", type=int, help="candidates kept per size group")
-        p.add_argument("--tau", type=float, help="minimum relative improvement")
-        p.add_argument("--max-iters", type=int, dest="max_iters", help="iteration cap (T)")
-        p.add_argument("--max-queries", type=int, dest="max_queries", help="query cap (Q)")
-        p.add_argument("--seed", type=int, help="seed for randomised baselines")
-        p.add_argument("--out", help="output directory")
-
-    p_opt = sub.add_parser("optimize", help="minimise a named test function")
-    common(p_opt)
-    p_opt.add_argument("--fn", help="test function name (e.g. abs1d, multi-basin)")
-    p_opt.add_argument("--bounds", help="comma-separated lo,hi per dimension")
-
-    def model_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--weights", help="weight file for the classifier")
-        p.add_argument("--images", nargs="*", help="image files (.pgm/.ppm/.txt)")
-        p.add_argument("--labels", help="label file or comma-separated integers")
-        p.add_argument("--rotation", type=float, help="rotation range, +- degrees")
-        p.add_argument("--scale", type=float, help="scale range, 1 +- value")
-        p.add_argument("--translate", help="translation range, pixels: 'h,v'")
-        p.add_argument("--skip-misclassified", dest="skip_misclassified",
-                       action="store_const", const=True,
-                       help="report clean mistakes instead of attacking them")
-
-    p_ver = sub.add_parser("verify", help="robustness verdict per example")
-    common(p_ver)
-    model_opts(p_ver)
-
-    p_cmp = sub.add_parser("compare", help="side-by-side with grid and random baselines")
-    common(p_cmp)
-    model_opts(p_cmp)
-    p_cmp.add_argument("--oracle-grid", type=int, dest="oracle_grid",
-                       help="grid points per dimension")
-    p_cmp.add_argument("--oracle-random", type=int, dest="oracle_random",
-                       help="random samples per example")
-    p_cmp.add_argument("--match-tolerance", type=float, dest="match_tolerance",
-                       help="slack for the match rule")
+    for command, (summary, dests) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for dest in dests:
+            kind, help_text = OPTIONS[dest][2], OPTIONS[dest][4]
+            if kind is str.split:
+                how = {"nargs": "*"}
+            elif kind is _parse_bool:
+                how = {"action": "store_const", "const": True}
+            else:
+                how = {"type": kind}
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **how)
     return parser
 
 

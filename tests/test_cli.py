@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fixtures import build_fixture_examples, build_fixture_net
-from warpcheck.cli import main
+from warpcheck.cli import COMMANDS, OPTIONS, _build_parser, main
 from warpcheck.images import write_image
 from warpcheck.netfwd import save_weights
 
@@ -275,6 +275,147 @@ class TestCompare:
         assert rows == ["method,verified_acc,mean_queries,mean_runtime_s,match_rate"]
 
 
+@pytest.fixture
+def bad_batch(model_dir, tmp_path):
+    """Model flags and three examples: a good image, a 3x3 image the 8x8 net
+    rejects, and a truncated PGM."""
+    path, names = model_dir
+    small = tmp_path / "small.txt"
+    write_image(small, np.full((3, 3, 1), 0.5))
+    truncated = tmp_path / "cut.pgm"
+    truncated.write_bytes(b"P5\n8 8\n255\n" + bytes(10))
+    label = (path / "labels.txt").read_text().split()[0]
+    model = ["--weights", str(path / "net.txt"), "--rotation", "10", "--scale", "0.05",
+             "--max-iters", "6"]
+    examples = ["--images", names[0], str(small), str(truncated), "--labels", f"{label},0,0"]
+    return model, examples, ["--images", names[0], "--labels", label]
+
+
+def data_rows(path):
+    return [r.split(",") for r in path.read_text().splitlines() if not r.startswith("#")]
+
+
+class TestFailedExamples:
+    """A failing example is reported in its row; the batch goes on and exits 1."""
+
+    def check_errors(self, payload, err):
+        assert sorted(payload["errors"]) == ["1", "2"]
+        assert "dense layer expects 64 features, got 9" in payload["errors"]["1"]
+        assert "truncated pixel data" in payload["errors"]["2"]
+        assert "error: example 1 (" in err and "small.txt): " in err
+        assert "error: example 2 (" in err and "cut.pgm): truncated" in err
+
+    def test_verify_writes_error_rows(self, bad_batch, tmp_path, capsys):
+        model, examples, good = bad_batch
+        assert main(["verify", *model, *examples, "--out", str(tmp_path / "bad")]) == 1
+        _, payload = read_summary(tmp_path / "bad" / "summary.txt")
+        self.check_errors(payload, capsys.readouterr().err)
+        assert payload["examples"] == 3
+        rows = data_rows(tmp_path / "bad" / "results.csv")[1:]
+        assert [r[3] for r in rows[1:]] == ["error", "error"]
+        assert rows[1][4:] == rows[2][4:] == [""] * 6
+
+        # the good example's row is the one a run of it alone writes
+        assert main(["verify", *model, *good, "--out", str(tmp_path / "good")]) == 0
+        alone = data_rows(tmp_path / "good" / "results.csv")[1:]
+        assert alone[0][:-1] == rows[0][:-1]  # all but runtime_s
+
+    def test_compare_leaves_failed_examples_out(self, bad_batch, tmp_path, capsys):
+        model, examples, _ = bad_batch
+        argv = ["compare", *model, *examples, "--oracle-random", "40", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        _, payload = read_summary(tmp_path / "summary.txt")
+        self.check_errors(payload, capsys.readouterr().err)
+        assert payload["examples"] == 3 and payload["attacked"] == 1
+        details = data_rows(tmp_path / "details.csv")[1:]
+        assert [r[:2] for r in details] == [["0", "warpcheck"], ["0", "grid"], ["0", "random"]]
+        methods = [r[0] for r in data_rows(tmp_path / "compare.csv")[1:]]
+        assert methods == ["warpcheck", "grid", "random"]
+
+
+class TestMalformedNumbers:
+    """Unparseable --bounds and --translate are usage errors (exit 2), by flag or file."""
+
+    CASES = {
+        "bounds": (["optimize", "--fn", "abs1d"], "0,x", "[function]\nbounds = 0,x\n"),
+        "translate": (["verify", "--images", "--rotation", "10"], "1,a",
+                      "[translate]\nrange = 1,a\n"),
+    }
+
+    @pytest.mark.parametrize("dest", sorted(CASES))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_exit_2_naming_the_option(self, dest, source, model_dir, tmp_path, capsys):
+        path, _ = model_dir
+        argv, value, config = self.CASES[dest]
+        argv = [*argv, "--weights", str(path / "net.txt")] if argv[0] == "verify" else list(argv)
+        if source == "flag":
+            argv += [f"--{dest}", value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"--{dest}" in capsys.readouterr().err
+
+
+class TestOptionTable:
+    # a value for each option that has a config key; BASE holds the options
+    # each run needs besides the one under test
+    VALUES = {
+        "depth": "3", "alpha": "1", "tau": "0.01", "max_iters": "2", "max_queries": "40",
+        "seed": "4", "out": "OUT", "fn": "abs1d", "bounds": "0,1", "weights": "WEIGHTS",
+        "images": "IMAGE", "labels": "1", "rotation": "5", "scale": "0.05",
+        "translate": "1,0.5", "skip_misclassified": "yes", "oracle_grid": "3",
+        "oracle_random": "7", "match_tolerance": "0.5",
+    }
+    BASE = {
+        "optimize": {"fn": "abs1d", "bounds": "0,1", "max_iters": "2", "out": "OUT"},
+        "compare": {"weights": "WEIGHTS", "images": "IMAGE", "labels": "0", "rotation": "5",
+                    "depth": "3", "max_iters": "2", "max_queries": "40", "oracle_grid": "2",
+                    "oracle_random": "3", "out": "OUT"},
+    }
+
+    @pytest.mark.parametrize("dest", [d for d, spec in OPTIONS.items() if spec[0] is not None])
+    def test_flag_and_config_key_echo_alike(self, dest, model_dir, tmp_path):
+        path, names = model_dir
+        command = "optimize" if dest in ("fn", "bounds") else "compare"
+        fill = {"OUT": str(tmp_path / "out"), "WEIGHTS": str(path / "net.txt"), "IMAGE": names[0]}
+
+        def flag(d, value):
+            value = fill.get(value, value)
+            if d == "skip_misclassified":
+                return [f"--{d.replace('_', '-')}"]
+            return [f"--{d.replace('_', '-')}", *value.split()]
+
+        base = [a for d, v in self.BASE[command].items() if d != dest for a in flag(d, v)]
+        section, key = OPTIONS[dest][:2]
+        value = fill.get(self.VALUES[dest], self.VALUES[dest])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        echoed = []
+        for extra in (flag(dest, self.VALUES[dest]), ["--config", str(cfg)]):
+            assert main([command, *base, *extra]) == 0
+            header, _ = read_summary(tmp_path / "out" / "summary.txt")
+            echoed.append([line for line in header if line.startswith(f"# {section}.{key} = ")])
+        assert len(echoed[0]) == 1 and echoed[0] == echoed[1]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_command_accepts_exactly_its_options(self, command):
+        accepted = set(COMMANDS[command][1])
+        for dest in OPTIONS:
+            argv = [command, f"--{dest.replace('_', '-')}"]
+            if dest not in ("images", "skip_misclassified"):
+                argv.append("1")
+            if dest in accepted:
+                assert getattr(_build_parser().parse_args(argv), dest) is not None
+            else:
+                with pytest.raises(SystemExit) as info:
+                    main(argv)
+                assert info.value.code == 2
+
+
 def _masked_digest(path, subs):
     """SHA-256 of an output file with timings and tmp paths masked."""
     text = path.read_text()
@@ -327,6 +468,10 @@ class TestGoldenOutputs:
         "verify-empty": (0, {
             "results.csv": "5331944d394596ec982347202c6f0645a56aadac8883e03f62ca8d33b539fe89",
             "summary.txt": "b6df3b1b9cd76ba6980fc6cf5d8bed1b647d1e13504731ad173a6b127ad5103a",
+        }),
+        "verify-empty-labels": (0, {
+            "results.csv": "946093fa9722db71bca0c1e626726b372f6fa90e234d7c0a7925dfa737c82200",
+            "summary.txt": "38ef089dd5186efa1628b1310ddaf235f52e89666ca5bd3709a59f92f6757212",
         }),
         "compare-flags": (0, {
             "compare.csv": "9a57ab2441b70eb7b2885c38203a7a8fc3970d3b313b008f7edc10fc282a9a4b",
@@ -401,6 +546,7 @@ class TestGoldenOutputs:
             ],
             "verify-config": ["verify", "--alpha", "1"],
             "verify-empty": ["verify", *model, "--images", "--rotation", "10"],
+            "verify-empty-labels": ["verify", *model, "--images", "--labels", "0,1"],
             "compare-flags": [
                 "compare", *model, "--images", *names[:4], "--labels", ",".join(labels[:4]),
                 "--rotation", "20", "--scale", "0.1", "--translate", "1.6,1.6", *small,
@@ -433,7 +579,7 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("case", [
         "optimize-flags", "optimize-config", "verify-flags", "verify-skip",
-        "verify-config", "verify-empty", "compare-flags", "compare-skip",
+        "verify-config", "verify-empty", "verify-empty-labels", "compare-flags", "compare-skip",
         "compare-config", "compare-empty",
     ])
     def test_outputs(self, invoke, case):
