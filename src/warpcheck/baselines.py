@@ -28,7 +28,7 @@ class SearchResult:
     n_points: int
 
 
-def _batched_min(objective, points: np.ndarray, batch_size: int) -> tuple[float, int]:
+def _batched_min(objective, points: np.ndarray, batch_size: int) -> SearchResult:
     best = np.inf
     best_idx = -1
     for start in range(0, len(points), batch_size):
@@ -45,7 +45,7 @@ def _batched_min(objective, points: np.ndarray, batch_size: int) -> tuple[float,
         if values[idx] < best:
             best = float(values[idx])
             best_idx = start + idx
-    return best, best_idx
+    return SearchResult(min_value=best, argmin=points[best_idx].copy(), n_points=len(points))
 
 
 def grid_search(
@@ -70,8 +70,7 @@ def grid_search(
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in space.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    best, best_idx = _batched_min(objective, points, batch_size)
-    return SearchResult(min_value=best, argmin=points[best_idx].copy(), n_points=total)
+    return _batched_min(objective, points, batch_size)
 
 
 def random_pick(
@@ -86,8 +85,7 @@ def random_pick(
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     points = space.lows + rng.random((n_samples, space.n)) * space.ranges
-    best, best_idx = _batched_min(objective, points, batch_size)
-    return SearchResult(min_value=best, argmin=points[best_idx].copy(), n_points=n_samples)
+    return _batched_min(objective, points, batch_size)
 
 
 def match_metric(method_min: float, oracle_min: float, tolerance: float = 0.0) -> bool:

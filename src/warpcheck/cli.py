@@ -79,15 +79,16 @@ OPTIONS = {
     "match_tolerance": ("oracle", "match_tolerance", float, 0.0, "slack for the match rule"),
 }
 
-_SEARCH = ("config", "depth", "alpha", "tau", "max_iters", "max_queries", "seed", "out")
+_SEARCH = ("config", "depth", "alpha", "tau", "max_iters", "max_queries", "out")
 _MODEL = ("weights", "images", "labels", "rotation", "scale", "translate", "skip_misclassified")
 
 # subcommand -> (help, the OPTIONS it accepts)
 COMMANDS = {
-    "optimize": ("minimise a named test function", _SEARCH + ("fn", "bounds")),
+    # optimize has no randomness: it accepts --seed, which existing runs pass, and ignores it
+    "optimize": ("minimise a named test function", _SEARCH + ("seed", "fn", "bounds")),
     "verify": ("robustness verdict per example", _SEARCH + _MODEL),
     "compare": ("side-by-side with grid and random baselines",
-                _SEARCH + _MODEL + ("oracle_grid", "oracle_random", "match_tolerance")),
+                _SEARCH + _MODEL + ("seed", "oracle_grid", "oracle_random", "match_tolerance")),
 }
 
 
@@ -111,12 +112,11 @@ class Resolver:
             try:
                 value = kind(raw)
             except ValueError as exc:
-                raise ConfigError(f"bad config value {section}.{key} = {raw!r}: {exc}")
+                raise _bad(dest, f"bad config value {raw!r}: {exc}") from None
         if value is None:
             value = default
         if value is None and required:
-            raise ConfigError(f"missing required option --{dest.replace('_', '-')} "
-                              f"(config key {section}.{key})")
+            raise _bad(dest, "missing required option")
         if value is not None:
             self.effective[f"{section}.{key}"] = _format_value(value)
         return value
@@ -128,29 +128,42 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _floats(dest: str, parts: list[str]) -> list[float]:
+def _bad(dest: str, why) -> ConfigError:
+    """A config error naming the flag and config key of option ``dest``."""
+    section, key = OPTIONS[dest][:2]
+    return ConfigError(f"--{dest.replace('_', '-')} (config key {section}.{key}): {why}")
+
+
+def _build(make, **values):
+    """``make(**values)``; a ValueError from one value alone is blamed on its option."""
+    for dest, value in values.items():
+        try:
+            make(**{dest: value})
+        except ValueError as exc:
+            raise _bad(dest, exc) from None
+    return make(**values)
+
+
+def _floats(dest: str, raw: str) -> list[float]:
+    """The comma-separated numbers of option ``dest``; empty items are skipped."""
     try:
-        return [float(p) for p in parts]
+        return [float(p) for p in raw.split(",") if p.strip() != ""]
     except ValueError as exc:
-        section, key = OPTIONS[dest][:2]
-        raise ConfigError(f"bad --{dest} value (config key {section}.{key}): {exc}")
+        raise _bad(dest, exc) from None
 
 
-def _parse_bounds(raw: str) -> list[tuple[float, float]]:
-    parts = [p for p in raw.replace(";", ",").split(",") if p.strip() != ""]
-    if len(parts) == 0 or len(parts) % 2 != 0:
-        raise ConfigError(f"--bounds needs lo,hi pairs, got {raw!r}")
-    values = _floats("bounds", parts)
-    return [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
+def _parse_bounds(raw: str) -> ParamSpace:
+    values = _floats("bounds", raw.replace(";", ","))
+    if len(values) == 0 or len(values) % 2 != 0:
+        raise _bad("bounds", f"need lo,hi pairs, got {raw!r}")
+    return _build(ParamSpace, bounds=list(zip(values[::2], values[1::2])))
 
 
 def _parse_pair(raw: str) -> tuple[float, float]:
-    parts = [p for p in raw.split(",") if p.strip() != ""]
-    if len(parts) == 1:
-        parts = parts * 2
-    if len(parts) != 2:
-        raise ConfigError(f"--translate needs one or two comma-separated values, got {raw!r}")
-    return tuple(_floats("translate", parts))
+    values = _floats("translate", raw)
+    if len(values) not in (1, 2):
+        raise _bad("translate", f"need one or two comma-separated values, got {raw!r}")
+    return values[0], values[-1]
 
 
 def _parse_labels(raw: str, count: int) -> list[int]:
@@ -203,7 +216,7 @@ def _cell(value) -> str:
 
 def _budget(res: Resolver) -> BudgetConfig:
     fields = ("max_iters", "max_queries", "depth", "alpha", "tau")
-    return BudgetConfig(**{dest: res.get(dest) for dest in fields})
+    return _build(BudgetConfig, **{dest: res.get(dest) for dest in fields})
 
 
 def _outdir(res: Resolver) -> Path:
@@ -222,13 +235,12 @@ def cmd_optimize(res: Resolver) -> int:
     name = res.get("fn", required=True)
     bounds_raw = res.get("bounds", required=True)
     budget = _budget(res)
-    outdir = _outdir(res)
-
     fn = test_function(name)
-    bounds = _parse_bounds(bounds_raw)
-    if len(bounds) != fn.dim:
-        raise ConfigError(f"{name} is {fn.dim}-dimensional but {len(bounds)} bounds given")
-    trace, elapsed = _timed(run, fn, ParamSpace(bounds), budget)
+    space = _parse_bounds(bounds_raw)
+    if space.n != fn.dim:
+        raise ConfigError(f"{name} is {fn.dim}-dimensional but {space.n} bounds given")
+    outdir = _outdir(res)
+    trace, elapsed = _timed(run, fn, space, budget)
 
     trace_path = outdir / "trace.csv"
     header = _header_lines("optimize", res.effective)
@@ -250,12 +262,15 @@ def _examples(res: Resolver, attack):
     skip = res.get("skip_misclassified")
     weights_path = res.get("weights", required=True)
     paths = res.get("images", required=True)
+    domain = _build(TransformDomain.from_ranges, rotation=res.get("rotation"),
+                    scale=res.get("scale"), translate=_parse_pair(res.get("translate")))
+    try:
+        space = domain.param_space() if paths else None
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: set --rotation, --scale or --translate") from None
     net = load_weights(weights_path)
     raw_labels = res.get("labels", required=bool(paths))
     labels = _parse_labels(raw_labels, len(paths)) if paths else []
-    domain = TransformDomain.from_ranges(rotation=res.get("rotation"), scale=res.get("scale"),
-                                         translate=_parse_pair(res.get("translate")))
-    space = domain.param_space() if paths else None
     model = lambda batch: forward(net, batch)
 
     examples, errors = [], {}
@@ -315,6 +330,10 @@ def cmd_compare(res: Resolver) -> int:
     grid_points = res.get("oracle_grid")
     random_samples = res.get("oracle_random")
     tolerance = res.get("match_tolerance")
+    if grid_points < 2:
+        raise _bad("oracle_grid", "need at least 2 points per dimension")
+    if random_samples < 1:
+        raise _bad("oracle_random", "need at least 1 sample")
     outdir = _outdir(res)
 
     def attack(space, i, objective):

@@ -3,9 +3,12 @@
 One iteration gathers the sample points of every potentially-optimal rect,
 evaluates them in a single batch call, divides those rects, updates slope
 estimates and the running best, then selects the next potentially-optimal
-set.  The run stops when the iteration cap is reached, the query budget is
-exhausted (checked before launching a batch, so one batch may overshoot),
-or no divisible rect remains.
+set.  Each pass of the loop first appends its :class:`IterationRecord`
+(iteration 0 holds the first query alone) and then checks the stop
+criteria: the run stops when the iteration cap is reached, the query budget
+is exhausted (checked before launching a batch, so one batch may
+overshoot), or every rect is at the depth cap, so selection returns
+nothing.
 
 No point is ever queried twice, so no evaluation cache is kept: a sample
 point lies strictly inside its rect and off its center, while every point
@@ -131,10 +134,11 @@ class RunTrace:
 
 
 class ObjectiveError(RuntimeError):
-    """The objective failed mid-run; the partial trace is preserved."""
+    """The objective failed mid-run; the partial trace is preserved and marked."""
 
     def __init__(self, message: str, trace: RunTrace) -> None:
         super().__init__(message)
+        trace.stop_reason = "objective-error"
         self.trace = trace
 
 
@@ -142,15 +146,12 @@ def _evaluate(objective: Objective, points: np.ndarray, trace: RunTrace) -> np.n
     try:
         values = np.asarray(objective(points), dtype=float)
     except Exception as exc:
-        trace.stop_reason = "objective-error"
         raise ObjectiveError(f"objective raised: {exc}", trace) from exc
     if values.shape != (len(points),):
-        trace.stop_reason = "objective-error"
         raise ObjectiveError(
             f"objective returned shape {values.shape}, expected ({len(points)},)", trace
         )
     if not np.all(np.isfinite(values)):
-        trace.stop_reason = "objective-error"
         raise ObjectiveError("objective returned a non-finite value", trace)
     return values
 
@@ -180,7 +181,9 @@ def run(
     best.value = float(_evaluate(objective, space.to_physical(best.center()[None]), trace)[0])
     queries = 1
 
-    def record(iteration: int, n_po: int) -> None:
+    po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
+    iteration, n_po = 0, len(po)
+    while True:
         if known_lipschitz is not None:
             bound = min(
                 estimate_lower_bound(r, known_lipschitz, space, cover=True) for r in partition
@@ -199,12 +202,6 @@ def run(
                 optimal_box=space.to_physical(best.box().T).T,
             )
         )
-
-    po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
-    record(0, len(po))
-
-    iteration = 0
-    while True:
         if not po:
             trace.stop_reason = "exhausted"
             break
@@ -214,17 +211,10 @@ def run(
         if queries >= budget.max_queries:
             trace.stop_reason = "queries"
             break
-        iteration += 1
+        iteration, n_po = iteration + 1, len(po)
 
-        plan = []
-        for rect_id in po:
-            points = sample_points(partition.rects[rect_id], max_depth=budget.depth)
-            if points:
-                plan.append((rect_id, points))
-        if not plan:
-            trace.stop_reason = "exhausted"
-            break
-
+        # select_po skips every rect at the depth cap, so each has sample points
+        plan = [(rect_id, sample_points(partition.rects[rect_id])) for rect_id in po]
         unit = np.array([p.center() for _, points in plan for p in points])
         values = iter(_evaluate(objective, space.to_physical(unit), trace).tolist())
         queries += len(unit)
@@ -242,7 +232,6 @@ def run(
                     best = child
 
         po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
-        record(iteration, len(plan))
 
     return trace
 

@@ -67,16 +67,7 @@ def _check_mode(mode: str) -> None:
 
 def build_matrix(params: TransformParams, mode: str = "cos-scaled") -> np.ndarray:
     """2x3 source-lookup matrix for the given factors."""
-    _check_mode(mode)
-    r = math.radians(params.rotation)
-    c, s = math.cos(r), math.sin(r)
-    sin_scale = params.scale if mode == "similarity" else 1.0
-    return np.array(
-        [
-            [params.scale * c, -sin_scale * s, params.t_hor],
-            [sin_scale * s, params.scale * c, params.t_vrt],
-        ]
-    )
+    return build_matrix_batch(params.rotation, params.scale, params.t_hor, params.t_vrt, mode)
 
 
 def build_matrix_batch(
@@ -86,7 +77,7 @@ def build_matrix_batch(
     t_vrt: np.ndarray,
     mode: str = "cos-scaled",
 ) -> np.ndarray:
-    """Vectorised :func:`build_matrix`; inputs broadcast to (B,), output (B, 2, 3)."""
+    """Source-lookup matrices; inputs broadcast to a shape S, output S + (2, 3)."""
     _check_mode(mode)
     rotation, scale, t_hor, t_vrt = np.broadcast_arrays(
         np.asarray(rotation, dtype=float),
@@ -264,19 +255,14 @@ def warp_grad(
     return d_dx * dcol[..., None] + d_dy * drow[..., None]
 
 
-def _sup_cos_deg(lo: float, hi: float) -> float:
-    if math.floor(lo / 360.0) != math.floor(hi / 360.0) or lo % 360.0 == 0.0:
+def _sup_deg(fn, lo: float, hi: float, peak: float, period: float) -> float:
+    """Supremum over [lo, hi] degrees of ``fn`` (taking radians), whose only
+    local maxima are the value 1 at ``peak + k * period`` degrees."""
+    if math.floor((lo - peak) / period) != math.floor((hi - peak) / period) or (
+        lo - peak
+    ) % period == 0.0:
         return 1.0
-    return max(math.cos(math.radians(lo)), math.cos(math.radians(hi)))
-
-
-def _sup_abs_sin_deg(lo: float, hi: float) -> float:
-    # |sin| peaks at 90 + 180k degrees
-    if math.floor((lo - 90.0) / 180.0) != math.floor((hi - 90.0) / 180.0) or (
-        lo - 90.0
-    ) % 180.0 == 0.0:
-        return 1.0
-    return max(abs(math.sin(math.radians(lo))), abs(math.sin(math.radians(hi))))
+    return max(fn(math.radians(lo)), fn(math.radians(hi)))
 
 
 def lipschitz_bound(
@@ -296,8 +282,8 @@ def lipschitz_bound(
     lo, hi = float(rotation_range[0]), float(rotation_range[1])
     if hi < lo:
         raise ValueError(f"empty rotation range ({lo}, {hi})")
-    sup_cos = _sup_cos_deg(lo, hi)
-    sup_sin = _sup_abs_sin_deg(lo, hi)
+    sup_cos = _sup_deg(math.cos, lo, hi, 0.0, 360.0)
+    sup_sin = _sup_deg(lambda r: abs(math.sin(r)), lo, hi, 90.0, 180.0)
     span = float(width + height)
     return {
         "scale": sup_cos * span,

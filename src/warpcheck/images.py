@@ -14,6 +14,10 @@ import numpy as np
 from .geometry import validate_image
 
 
+# netpbm extension -> (magic, channels)
+NETPBM = {".pgm": (b"P5", 1), ".ppm": (b"P6", 3)}
+
+
 class ImageFormatError(ValueError):
     """Unreadable or malformed image file."""
 
@@ -23,14 +27,8 @@ def write_image(path, image) -> None:
     img = validate_image(image, check_range=True)
     if path.endswith(".txt"):
         _write_text(path, img)
-    elif path.endswith(".pgm"):
-        if img.shape[2] != 1:
-            raise ImageFormatError("PGM holds exactly one channel")
-        _write_netpbm(path, img, b"P5")
-    elif path.endswith(".ppm"):
-        if img.shape[2] != 3:
-            raise ImageFormatError("PPM holds exactly three channels")
-        _write_netpbm(path, img, b"P6")
+    elif path[-4:] in NETPBM:
+        _write_netpbm(path, img, *NETPBM[path[-4:]])
     else:
         raise ImageFormatError(f"unsupported image extension: {path}")
 
@@ -39,13 +37,15 @@ def read_image(path) -> np.ndarray:
     path = str(path)
     if path.endswith(".txt"):
         return _read_text(path)
-    if path.endswith(".pgm") or path.endswith(".ppm"):
+    if path[-4:] in NETPBM:
         return _read_netpbm(path)
     raise ImageFormatError(f"unsupported image extension: {path}")
 
 
-def _write_netpbm(path: str, img: np.ndarray, magic: bytes) -> None:
-    h, w, _ = img.shape
+def _write_netpbm(path: str, img: np.ndarray, magic: bytes, channels: int) -> None:
+    h, w, c = img.shape
+    if c != channels:
+        raise ImageFormatError(f"{path[-3:].upper()} holds exactly {channels} channel(s), got {c}")
     data = np.rint(img * 255.0).clip(0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
@@ -75,11 +75,8 @@ def _read_netpbm(path: str) -> np.ndarray:
             i = j
     i += 1  # single whitespace byte after maxval
     magic, width, height, maxval = tokens
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
+    channels = {m: c for m, c in NETPBM.values()}.get(magic)
+    if channels is None:
         raise ImageFormatError(f"unsupported magic {magic!r} in {path}")
     try:
         w, h, mv = int(width), int(height), int(maxval)

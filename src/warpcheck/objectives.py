@@ -8,33 +8,28 @@ forward pass into the batch evaluator consumed by the search engine.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .geometry import build_matrix_batch, validate_image, warp_batch
+from .geometry import FACTORS, IDENTITY, build_matrix_batch, validate_image, warp_batch
 from .partition import ParamSpace
-
-FACTOR_ORDER = ("rotation", "scale", "t_hor", "t_vrt")
-IDENTITY_VALUES = {"rotation": 0.0, "scale": 1.0, "t_hor": 0.0, "t_vrt": 0.0}
 
 
 def margin_loss(logits, label: int) -> float:
     """True-class logit minus the largest competing logit."""
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1 or logits.size < 2:
+    if logits.ndim != 1:
         raise ValueError("margin needs a vector of at least two logits")
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} classes")
-    others = np.delete(logits, label)
-    return float(logits[label] - others.max())
+    return float(margin_batch(logits[None], label)[0])
 
 
 def margin_batch(logits: np.ndarray, label: int) -> np.ndarray:
-    """Vectorised :func:`margin_loss` over (B, K) logits."""
+    """True-class logit minus the largest competing logit, per row of (B, K) logits."""
     logits = np.asarray(logits, dtype=float)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError("margin needs (B, K) logits with K >= 2")
@@ -86,7 +81,7 @@ class TransformDomain:
 
     @property
     def factors(self) -> tuple[str, ...]:
-        return tuple(f for f in FACTOR_ORDER if getattr(self, f) is not None)
+        return tuple(f for f in FACTORS if getattr(self, f) is not None)
 
     def param_space(self) -> ParamSpace:
         active = self.factors
@@ -103,14 +98,11 @@ class TransformDomain:
             raise ValueError(
                 f"expected {len(active)} factor columns ({active}), got {thetas.shape[1]}"
             )
-        columns = {}
-        b = thetas.shape[0]
-        for f in FACTOR_ORDER:
-            if f in active:
-                columns[f] = thetas[:, active.index(f)]
-            else:
-                columns[f] = np.full(b, IDENTITY_VALUES[f])
-        return columns
+        return {
+            f: thetas[:, active.index(f)] if f in active
+            else np.full(len(thetas), getattr(IDENTITY, f))
+            for f in FACTORS
+        }
 
 
 class MarginObjective:
@@ -137,17 +129,14 @@ class MarginObjective:
         self.mode = mode
 
     def __call__(self, thetas) -> np.ndarray:
-        cols = self.domain.factor_columns(thetas)
-        matrices = build_matrix_batch(
-            cols["rotation"], cols["scale"], cols["t_hor"], cols["t_vrt"], self.mode
-        )
+        matrices = build_matrix_batch(**self.domain.factor_columns(thetas), mode=self.mode)
         warped = warp_batch(self.image, matrices)
         logits = np.asarray(self.model(warped), dtype=float)
         return margin_batch(logits, self.label)
 
-    @property
+    @functools.cached_property
     def clean_margin(self) -> float:
-        """Margin on the untouched input (no warp in the path)."""
+        """Margin on the untouched input (no warp in the path), computed once."""
         logits = np.asarray(self.model(self.image[None]), dtype=float)
         return margin_loss(logits[0], self.label)
 
@@ -169,10 +158,6 @@ class TestFunction:
 
     def param_space(self) -> ParamSpace:
         return ParamSpace(self.bounds)
-
-
-def _abs_target(dim: int) -> np.ndarray:
-    return np.array([0.3 if i % 2 == 0 else 0.7 for i in range(dim)])
 
 
 def make_multi_basin(seed: int) -> TestFunction:
@@ -213,7 +198,6 @@ def make_multi_basin(seed: int) -> TestFunction:
 # Canonical multi-basin fixture (seed 0): minimum pinned by a 1000x1000
 # inclusive grid over the unit square (20 grid-local minima).
 MULTI_BASIN_SEED = 0
-MULTI_BASIN_GRID = 1000
 MULTI_BASIN_MIN_VALUE = -0.43811780709552245
 MULTI_BASIN_MIN_LOC = (0.7527527527527528, 0.6396396396396397)
 
@@ -224,55 +208,21 @@ def test_function(name: str) -> TestFunction:
     Known names: ``abs1d``, ``separable-abs-<n>d``, ``quadratic-bowl``
     (optionally ``quadratic-bowl-<n>d``), ``multi-basin``.
     """
-    if name == "abs1d":
-        target = _abs_target(1)
-        return TestFunction(
-            name=name,
-            dim=1,
-            fn=lambda t: np.abs(t - target).sum(axis=1),
-            bounds=((0.0, 1.0),),
-            lipschitz=1.0,
-            min_value=0.0,
-            min_loc=target,
-        )
-    m = re.fullmatch(r"separable-abs-(\d+)d", name)
-    if m:
-        dim = int(m.group(1))
-        if dim < 1:
-            raise ValueError(f"bad dimension in {name!r}")
-        target = _abs_target(dim)
-        return TestFunction(
-            name=name,
-            dim=dim,
-            fn=lambda t: np.abs(t - target).sum(axis=1),
-            bounds=((0.0, 1.0),) * dim,
-            lipschitz=1.0,
-            min_value=0.0,
-            min_loc=target,
-        )
-    m = re.fullmatch(r"quadratic-bowl(?:-(\d+)d)?", name)
-    if m:
-        dim = int(m.group(1)) if m.group(1) else 2
-        if dim < 1:
-            raise ValueError(f"bad dimension in {name!r}")
-        return TestFunction(
-            name=name,
-            dim=dim,
-            fn=lambda t: ((t - 0.5) ** 2).sum(axis=1),
-            bounds=((0.0, 1.0),) * dim,
-            lipschitz=1.0,
-            min_value=0.0,
-            min_loc=np.full(dim, 0.5),
-        )
     if name == "multi-basin":
-        base = make_multi_basin(MULTI_BASIN_SEED)
-        return TestFunction(
+        return replace(
+            make_multi_basin(MULTI_BASIN_SEED),
             name=name,
-            dim=2,
-            fn=base.fn,
-            bounds=base.bounds,
-            lipschitz=base.lipschitz,
             min_value=MULTI_BASIN_MIN_VALUE,
             min_loc=np.array(MULTI_BASIN_MIN_LOC),
         )
-    raise ValueError(f"unknown test function {name!r}")
+    m = re.fullmatch(r"abs(1)d|separable-abs-(\d+)d|quadratic-bowl(?:-(\d+)d)?", name)
+    if m is None:
+        raise ValueError(f"unknown test function {name!r}")
+    dim = int(m.group(1) or m.group(2) or m.group(3) or 2)
+    if dim < 1:
+        raise ValueError(f"bad dimension in {name!r}")
+    bowl = name.startswith("quadratic-bowl")
+    target = np.full(dim, 0.5) if bowl else np.resize([0.3, 0.7], dim)  # 0.3, 0.7, 0.3, ...
+    shape = np.square if bowl else np.abs
+    fn = lambda t: shape(t - target).sum(axis=1)
+    return TestFunction(name, dim, fn, ((0.0, 1.0),) * dim, 1.0, 0.0, target)

@@ -79,7 +79,8 @@ class HyperRect:
 
     ``nums``/``depths`` encode the exact center; ``value`` is the objective
     at the center.  ``depth_key`` is the least trisection depth, which names
-    the rect's size group.
+    the rect's size group; :func:`warpcheck.selection.group_size` gives the
+    group's size.
     """
 
     id: int
@@ -94,11 +95,6 @@ class HyperRect:
     @property
     def n(self) -> int:
         return len(self.depths)
-
-    @property
-    def size(self) -> float:
-        """Half the longest side (L-infinity measure)."""
-        return 0.5 * 3.0 ** (-self.depth_key)
 
     def center(self) -> np.ndarray:
         return _center_array(self.nums, self.depths)
@@ -197,48 +193,47 @@ class Partition:
         w = {i: min(results[(i, -1)], results[(i, 1)]) for i in dims}
         order = sorted(dims, key=lambda i: (w[i], i))
 
-        depth = rect.depth_key
         out = DivideResult(new_ids=[])
         del self.rects[rect_id]
 
         # Split stage by stage: after stage k the center cell is deepened
         # along the first k dims; the stage-k side pair keeps the remaining
         # long dims.
-        center_nums = list(rect.nums)
-        center_depths = list(rect.depths)
+        nums, depths = rect.nums, rect.depths
         for dim in order:
             for sign in (-1, 1):
-                nums = list(center_nums)
-                depths = list(center_depths)
-                nums[dim] = 3 * nums[dim] + 2 * sign
-                depths[dim] = depth + 1
-                child = self._add(tuple(nums), tuple(depths), results[(dim, sign)])
+                child_nums, child_depths = _third(nums, depths, dim, sign)
+                child = self._add(child_nums, child_depths, results[(dim, sign)])
                 out.new_ids.append(child.id)
                 out.pair_ids[(dim, sign)] = child.id
-            center_nums[dim] = 3 * center_nums[dim]
-            center_depths[dim] = depth + 1
+            nums, depths = _third(nums, depths, dim, 0)
 
-        center = self._add(tuple(center_nums), tuple(center_depths), rect.value)
+        center = self._add(nums, depths, rect.value)
         out.new_ids.append(center.id)
         out.center_id = center.id
         return out
 
 
-def sample_points(rect: HyperRect, max_depth: int | None = None) -> list[SamplePoint]:
+def _third(
+    nums: tuple[int, ...], depths: tuple[int, ...], dim: int, sign: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact center of the lower (-1), middle (0) or upper (+1) third of the
+    rect centered at ``(nums, depths)``, trisected along ``dim``."""
+    nums, depths = list(nums), list(depths)
+    nums[dim] = 3 * nums[dim] + 2 * sign
+    depths[dim] += 1
+    return tuple(nums), tuple(depths)
+
+
+def sample_points(rect: HyperRect) -> list[SamplePoint]:
     """Points ``c +/- 3**-(d+1) e_i`` for every longest side of ``rect``.
 
-    Short sides are ignored.  A rect already at ``max_depth`` along every
-    longest side yields an empty list and should be skipped by the caller.
+    Short sides are ignored.  The depth cap is not checked here: selection
+    never picks a rect whose longest side is already at the cap.
     """
-    depth = rect.depth_key
-    if max_depth is not None and depth >= max_depth:
-        return []
     points = []
     for dim in rect.long_dims():
         for sign in (-1, 1):
-            nums = list(rect.nums)
-            depths = list(rect.depths)
-            nums[dim] = 3 * nums[dim] + 2 * sign
-            depths[dim] = depth + 1
-            points.append(SamplePoint(dim, sign, tuple(nums), tuple(depths)))
+            nums, depths = _third(rect.nums, rect.depths, dim, sign)
+            points.append(SamplePoint(dim, sign, nums, depths))
     return points

@@ -1,9 +1,12 @@
 """Potentially-optimal subspace selection.
 
-The functions here read only ``id``, ``depth_key``, ``value`` and ``size``,
-so they run unchanged on the live rects of a partition (:class:`HyperRect`)
-or on synthetic ``RectStat`` records in tests.  Sizes are grouped by the
-minimum trisection depth; group ``k`` has size ``0.5 * 3**-k``.
+The functions here read only ``id``, ``depth_key`` and ``value``, so they
+run unchanged on the live rects of a partition (:class:`HyperRect`) or on
+synthetic ``RectStat`` records in tests.  Sizes are grouped by the minimum
+trisection depth; group ``k`` has size ``group_size(k) = 0.5 * 3**-k``,
+and no other function computes a size.  The depth cap lives here as
+well: :func:`select_po` never picks a rect at ``max_depth``, so every rect
+it returns has sample points.
 
 Within a size group the score :func:`optimal_score` never rises as the
 center value rises (the slope toward larger rects falls, the slope toward
@@ -38,15 +41,12 @@ class RectStat:
     depth_key: int
     value: float
 
-    @property
-    def size(self) -> float:
-        return group_size(self.depth_key)
-
 
 Rect = HyperRect | RectStat
 
 
 def group_size(depth_key: int) -> float:
+    """Half the longest side of a rect in group ``depth_key`` (L-infinity measure)."""
     return 0.5 * 3.0 ** (-depth_key)
 
 
@@ -69,10 +69,11 @@ def larger_slope(stat: Rect, minima: Mapping[int, float]) -> float:
     For a fixed larger group the minimising rect is the one with the least
     center value, so only group minima are needed.  Empty set -> +inf.
     """
+    size = group_size(stat.depth_key)
     best = math.inf
     for key, vmin in minima.items():
         if key < stat.depth_key:
-            slope = (vmin - stat.value) / (group_size(key) - stat.size)
+            slope = (vmin - stat.value) / (group_size(key) - size)
             if slope < best:
                 best = slope
     return best
@@ -80,10 +81,11 @@ def larger_slope(stat: Rect, minima: Mapping[int, float]) -> float:
 
 def smaller_slope(stat: Rect, minima: Mapping[int, float]) -> float:
     """max over strictly smaller groups, floored at 0."""
+    size = group_size(stat.depth_key)
     best = 0.0
     for key, vmin in minima.items():
         if key > stat.depth_key:
-            slope = (stat.value - vmin) / (stat.size - group_size(key))
+            slope = (stat.value - vmin) / (size - group_size(key))
             if slope > best:
                 best = slope
     return best
@@ -110,10 +112,11 @@ def sufficient_descent(
     upper bound; with no larger rects the potential improvement is
     unbounded and the test passes.
     """
+    size = group_size(stat.depth_key)
     upper = larger_slope(stat, minima)
     if l_min != 0.0:
-        return tau <= (l_min - stat.value) / abs(l_min) + stat.size * upper / abs(l_min)
-    return stat.value <= stat.size * upper
+        return tau <= (l_min - stat.value) / abs(l_min) + size * upper / abs(l_min)
+    return stat.value <= size * upper
 
 
 def select_po(

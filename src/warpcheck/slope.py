@@ -23,9 +23,7 @@ def sample_distance(depth: int, dim: int, space: ParamSpace) -> float:
 
 def sample_radius(depths: Sequence[int], space: ParamSpace) -> float:
     """Half the Manhattan sum of per-dimension sample distances."""
-    return 0.5 * sum(
-        3.0 ** (-(d + 1)) * float(space.ranges[i]) for i, d in enumerate(depths)
-    )
+    return 0.5 * sum(sample_distance(d, i, space) for i, d in enumerate(depths))
 
 
 def cover_radius(depths: Sequence[int], space: ParamSpace) -> float:

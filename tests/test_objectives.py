@@ -98,6 +98,19 @@ class TestMarginObjective:
         center = space.to_physical(np.full(space.n, 0.5))
         assert obj(center[None])[0] == obj.clean_margin
 
+    def test_clean_margin_runs_the_model_once(self):
+        calls = []
+
+        def model(batch):
+            calls.append(len(batch))
+            return np.stack([batch.sum(axis=(1, 2, 3)), np.zeros(len(batch))], axis=1)
+
+        dom = TransformDomain.from_ranges(rotation=5.0)
+        obj = MarginObjective(model, np.full((4, 4), 0.25), 0, dom)
+        assert obj.clean_margin == 4.0
+        assert obj.clean_margin == 4.0
+        assert calls == [1]
+
     def test_batch_purity_with_duplicates(self):
         obj, dom = self._objective()
         space = dom.param_space()
@@ -186,3 +199,43 @@ class TestFunctions:
             shifted[:, dim] += step
             slopes = np.abs(fn(shifted) - fn(pts)) / step
             assert slopes.max() <= fn.lipschitz
+
+
+UNIT = (0.0, 1.0)
+ABS_3D = np.array([0.3, 0.7, 0.3])
+
+# name -> (dim, bounds, lipschitz, min_value, min_loc, closed form on (B, dim) points)
+FUNCTION_TABLE = {
+    "abs1d": (1, (UNIT,), 1.0, 0.0, [0.3],
+              lambda t: np.abs(t - ABS_3D[:1]).sum(axis=1)),
+    "separable-abs-1d": (1, (UNIT,), 1.0, 0.0, [0.3],
+                         lambda t: np.abs(t - ABS_3D[:1]).sum(axis=1)),
+    "separable-abs-3d": (3, (UNIT,) * 3, 1.0, 0.0, [0.3, 0.7, 0.3],
+                         lambda t: np.abs(t - ABS_3D).sum(axis=1)),
+    "quadratic-bowl": (2, (UNIT,) * 2, 1.0, 0.0, [0.5, 0.5],
+                       lambda t: ((t - 0.5) ** 2).sum(axis=1)),
+    "quadratic-bowl-3d": (3, (UNIT,) * 3, 1.0, 0.0, [0.5, 0.5, 0.5],
+                          lambda t: ((t - 0.5) ** 2).sum(axis=1)),
+    "multi-basin": (2, (UNIT,) * 2, 9.037755518163962, -0.43811780709552245,
+                    [0.7527527527527528, 0.6396396396396397], make_multi_basin(0).fn),
+}
+
+
+class TestFunctionTable:
+    """Every field of each named test function, pinned exactly."""
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_TABLE))
+    def test_fields_and_values(self, name):
+        dim, bounds, lipschitz, min_value, min_loc, closed_form = FUNCTION_TABLE[name]
+        fn = make_function(name)
+        assert (fn.name, fn.dim, fn.bounds, fn.lipschitz) == (name, dim, bounds, lipschitz)
+        assert np.array_equal(fn.min_value, min_value, equal_nan=True)
+        assert np.array_equal(fn.min_loc, min_loc, equal_nan=True)
+        pts = np.random.default_rng(12).random((64, dim))
+        assert np.array_equal(fn(pts), closed_form(pts))
+        assert np.array_equal(fn.fn(pts), closed_form(pts))
+
+    @pytest.mark.parametrize("name", ["separable-abs-0d", "quadratic-bowl-0d", "abs2d"])
+    def test_bad_names_rejected(self, name):
+        with pytest.raises(ValueError):
+            make_function(name)

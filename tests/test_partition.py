@@ -11,6 +11,7 @@ from warpcheck.partition import (
     PartitionError,
     sample_points,
 )
+from warpcheck.selection import group_size
 
 
 class TestParamSpace:
@@ -51,13 +52,13 @@ class TestInitSpace:
         assert len(part) == 1
         rect = part.rects[0]
         assert np.array_equal(rect.center(), [0.5, 0.5])
-        assert rect.size == 0.5
+        assert group_size(rect.depth_key) == 0.5
         assert rect.depths == (0, 0)
 
     def test_one_dim(self):
         part = Partition(ParamSpace([(0.0, 1.0)]).n)
         assert np.array_equal(part.rects[0].center(), [0.5])
-        assert part.rects[0].size == 0.5
+        assert group_size(part.rects[0].depth_key) == 0.5
 
     def test_four_dim_volume(self):
         part = Partition(ParamSpace([(0.0, 1.0)] * 4).n)
@@ -92,11 +93,6 @@ class TestSamplePoints:
         coords = sorted(tuple(p.center()) for p in points)
         assert coords[0] == pytest.approx((1.0 / 6.0, 1.0 / 2.0 - 1.0 / 3.0))
         assert coords[1] == pytest.approx((1.0 / 6.0, 1.0 / 2.0 + 1.0 / 3.0))
-
-    def test_max_depth_rect_yields_nothing(self):
-        rect = HyperRect(id=0, nums=(1,), depths=(3,))
-        assert sample_points(rect, max_depth=3) == []
-        assert len(sample_points(rect, max_depth=4)) == 2
 
     def test_points_stay_inside_unit_cube(self):
         rect = HyperRect(id=0, nums=(1, 5), depths=(2, 1))
@@ -202,7 +198,7 @@ def _random_division_walk(n, divisions, seed, max_depth=None):
             break
         rect_id = int(rng.choice(candidates))
         rect = part.rects[rect_id]
-        points = sample_points(rect, max_depth=max_depth)
+        points = sample_points(rect)
         results = {(p.dim, p.sign): float(rng.normal()) for p in points}
         m = len(rect.long_dims())
         before = len(part)
@@ -223,7 +219,7 @@ class TestPartitionInvariants:
         assert max(r.depth_key for r in part) <= 4
         for r in part:
             assert r.depth_key == min(r.depths)
-            assert r.size == 0.5 * 3.0 ** (-r.depth_key)
+            assert group_size(r.depth_key) == 0.5 * 3.0 ** (-r.depth_key)
 
     def test_disjoint_interiors_desk_scale(self):
         part = _random_division_walk(2, 25, seed=11)
