@@ -18,6 +18,9 @@ import numpy as np
 
 from .partition import ParamSpace
 
+# grid_search's default cap; compare checks its grid against it before searching
+MAX_GRID_POINTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -52,7 +55,7 @@ def grid_search(
     objective,
     space: ParamSpace,
     points_per_dim: int,
-    max_points: int = 2_000_000,
+    max_points: int = MAX_GRID_POINTS,
     batch_size: int = 65536,
 ) -> SearchResult:
     """Evaluate the full Cartesian grid, endpoints included.
@@ -92,8 +95,10 @@ def match_metric(method_min: float, oracle_min: float, tolerance: float = 0.0) -
     """Whether a method's minimum matches the oracle's.
 
     True when the method found a value equal to or smaller than the oracle
-    minimum, up to ``tolerance``.
+    minimum, up to ``tolerance``, which must be finite and non-negative.
     """
     if not (np.isfinite(method_min) and np.isfinite(oracle_min)):
         raise ValueError("match_metric needs finite minima")
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     return bool(method_min <= oracle_min + tolerance)

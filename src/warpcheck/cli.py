@@ -27,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import grid_search, match_metric, random_pick
-from .engine import FALSIFIED, VERIFIED_ESTIMATE, BudgetConfig, ObjectiveError, run, verify
+from .baselines import MAX_GRID_POINTS, grid_search, match_metric, random_pick
+from .engine import (FALSIFIED, UNDECIDED, VERIFIED_ESTIMATE, BudgetConfig, ObjectiveError,
+                     run, verify)
 from .images import read_image
 from .netfwd import forward, load_weights
 from .objectives import MarginObjective, TransformDomain, test_function
@@ -252,7 +253,12 @@ def cmd_optimize(res: Resolver) -> int:
     return _write_summary(outdir, "optimize", res.effective, payload)
 
 
-def _examples(res: Resolver, attack):
+def _domain(res: Resolver) -> TransformDomain:
+    return _build(TransformDomain.from_ranges, rotation=res.get("rotation"),
+                  scale=res.get("scale"), translate=_parse_pair(res.get("translate")))
+
+
+def _examples(res: Resolver, domain: TransformDomain, attack):
     """Run ``attack(space, index, objective)`` on each example of the batch.
 
     Returns ``(index, path, label, objective, outcome)`` per example, with
@@ -262,8 +268,6 @@ def _examples(res: Resolver, attack):
     skip = res.get("skip_misclassified")
     weights_path = res.get("weights", required=True)
     paths = res.get("images", required=True)
-    domain = _build(TransformDomain.from_ranges, rotation=res.get("rotation"),
-                    scale=res.get("scale"), translate=_parse_pair(res.get("translate")))
     try:
         space = domain.param_space() if paths else None
     except ValueError as exc:
@@ -289,8 +293,9 @@ def _examples(res: Resolver, attack):
 
 def cmd_verify(res: Resolver) -> int:
     budget = _budget(res)
+    domain = _domain(res)
     outdir = _outdir(res)
-    examples, errors = _examples(res, lambda space, i, objective: (
+    examples, errors = _examples(res, domain, lambda space, i, objective: (
         objective.clean_margin, *_timed(verify, objective, space, budget)))
 
     columns = ["index", "image", "label", "verdict", "clean_margin", "l_min",
@@ -316,7 +321,7 @@ def cmd_verify(res: Resolver) -> int:
         "examples": total,
         "verified": counts[VERIFIED_ESTIMATE],
         "falsified": counts[FALSIFIED],
-        "undecided": counts["undecided"],
+        "undecided": counts[UNDECIDED],
         "clean_error": counts[CLEAN_ERROR],
         "verified_accuracy": counts[VERIFIED_ESTIMATE] / total if total else 0.0,
         "results": str(outdir / "results.csv"),
@@ -334,6 +339,14 @@ def cmd_compare(res: Resolver) -> int:
         raise _bad("oracle_grid", "need at least 2 points per dimension")
     if random_samples < 1:
         raise _bad("oracle_random", "need at least 1 sample")
+    try:
+        match_metric(0.0, 0.0, tolerance)
+    except ValueError as exc:
+        raise _bad("match_tolerance", exc) from None
+    domain = _domain(res)
+    n = len(domain.factors)
+    if grid_points**n > MAX_GRID_POINTS:
+        raise _bad("oracle_grid", f"{grid_points}**{n} points exceed the cap of {MAX_GRID_POINTS}")
     outdir = _outdir(res)
 
     def attack(space, i, objective):
@@ -347,7 +360,7 @@ def cmd_compare(res: Resolver) -> int:
                  int(match_metric(value, grid.min_value, tolerance))]
                 for method, value, queries, elapsed in outcomes]
 
-    examples, errors = _examples(res, attack)
+    examples, errors = _examples(res, domain, attack)
     details = [row for *_, outcome in examples if outcome for row in outcome]
     attacked = sum(1 for *_, outcome in examples if outcome)
 

@@ -62,8 +62,8 @@ class BudgetConfig:
             raise ValueError("depth must be at least 1")
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
 
 
 @dataclass
@@ -82,7 +82,6 @@ class IterationRecord:
 class RunTrace:
     """Per-iteration audit trail of one run."""
 
-    space: ParamSpace
     records: list[IterationRecord] = field(default_factory=list)
     stop_reason: str = "unknown"
 
@@ -175,7 +174,7 @@ def run(
     budget = budget or BudgetConfig()
     partition = Partition(space.n)
     tracker = SlopeTracker(space)
-    trace = RunTrace(space=space)
+    trace = RunTrace()
 
     best = partition.rects[0]
     best.value = float(_evaluate(objective, space.to_physical(best.center()[None]), trace)[0])

@@ -13,13 +13,13 @@ read zero without a bounds mask.  The interpolation weights and their
 summation order are fixed, so an identity matrix reproduces the input bit
 for bit.
 
-The default matrix applies the scale factor to the cosine entries only:
+The matrix applies the scale factor to the cosine entries only:
 
     [[s*cos(r), -sin(r), tx],
      [sin(r),    s*cos(r), ty]]
 
-``mode="similarity"`` instead composes a rotation with an isotropic
-scaling, which multiplies the sine entries by ``s`` as well.
+:func:`lipschitz_bound` bounds the per-pixel factor derivatives of this
+matrix for any closed range of rotation angles.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FACTORS = ("rotation", "scale", "t_hor", "t_vrt")
-MODES = ("cos-scaled", "similarity")
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,9 @@ def validate_image(image, check_range: bool = False) -> np.ndarray:
     return arr
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown matrix mode {mode!r}, expected one of {MODES}")
-
-
-def build_matrix(params: TransformParams, mode: str = "cos-scaled") -> np.ndarray:
+def build_matrix(params: TransformParams) -> np.ndarray:
     """2x3 source-lookup matrix for the given factors."""
-    return build_matrix_batch(params.rotation, params.scale, params.t_hor, params.t_vrt, mode)
+    return build_matrix_batch(params.rotation, params.scale, params.t_hor, params.t_vrt)
 
 
 def build_matrix_batch(
@@ -75,10 +69,8 @@ def build_matrix_batch(
     scale: np.ndarray,
     t_hor: np.ndarray,
     t_vrt: np.ndarray,
-    mode: str = "cos-scaled",
 ) -> np.ndarray:
     """Source-lookup matrices; inputs broadcast to a shape S, output S + (2, 3)."""
-    _check_mode(mode)
     rotation, scale, t_hor, t_vrt = np.broadcast_arrays(
         np.asarray(rotation, dtype=float),
         np.asarray(scale, dtype=float),
@@ -87,23 +79,21 @@ def build_matrix_batch(
     )
     r = np.radians(rotation)
     c, s = np.cos(r), np.sin(r)
-    sin_scale = scale if mode == "similarity" else np.ones_like(scale)
     out = np.empty(rotation.shape + (2, 3))
     out[..., 0, 0] = scale * c
-    out[..., 0, 1] = -sin_scale * s
+    out[..., 0, 1] = -s
     out[..., 0, 2] = t_hor
-    out[..., 1, 0] = sin_scale * s
+    out[..., 1, 0] = s
     out[..., 1, 1] = scale * c
     out[..., 1, 2] = t_vrt
     return out
 
 
-def matrix_grad(params: TransformParams, factor: str, mode: str = "cos-scaled") -> np.ndarray:
+def matrix_grad(params: TransformParams, factor: str) -> np.ndarray:
     """2x3 derivative of the matrix entries w.r.t. one factor.
 
     Rotation derivatives are per degree, matching the interface units.
     """
-    _check_mode(mode)
     if factor not in FACTORS:
         raise ValueError(f"unknown factor {factor!r}, expected one of {FACTORS}")
     r = math.radians(params.rotation)
@@ -113,16 +103,13 @@ def matrix_grad(params: TransformParams, factor: str, mode: str = "cos-scaled") 
     if factor == "t_vrt":
         return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     if factor == "scale":
-        if mode == "similarity":
-            return np.array([[c, -s, 0.0], [s, c, 0.0]])
         return np.array([[c, 0.0, 0.0], [0.0, c, 0.0]])
     # rotation, converted to per-degree
     k = math.pi / 180.0
-    sin_scale = params.scale if mode == "similarity" else 1.0
     return k * np.array(
         [
-            [-params.scale * s, -sin_scale * c, 0.0],
-            [sin_scale * c, -params.scale * s, 0.0],
+            [-params.scale * s, -c, 0.0],
+            [c, -params.scale * s, 0.0],
         ]
     )
 
@@ -237,7 +224,6 @@ def warp_grad(
     image,
     params: TransformParams,
     factor: str,
-    mode: str = "cos-scaled",
 ) -> np.ndarray:
     """Per-pixel derivative of the warped image w.r.t. one factor.
 
@@ -246,9 +232,9 @@ def warp_grad(
     """
     img = validate_image(image)
     h, w, _ = img.shape
-    matrix = build_matrix(params, mode)
+    matrix = build_matrix(params)
     d_dx, d_dy = warp_coordinate_grads(img, matrix)
-    da = matrix_grad(params, factor, mode)
+    da = matrix_grad(params, factor)
     _, _, xg, yg = _source_coords(matrix[None], h, w)
     dcol = da[0, 0] * xg + da[0, 1] * yg + da[0, 2]
     drow = da[1, 0] * xg + da[1, 1] * yg + da[1, 2]
@@ -273,8 +259,8 @@ def lipschitz_bound(
 ) -> dict[str, float]:
     """Closed-form bounds on the per-pixel factor derivatives.
 
-    ``rotation_range`` is the closed interval of admissible angles in
-    degrees.  The scale bound is ``sup cos * (W + H)``; the rotation bound
+    ``rotation_range`` is any closed interval of admissible angles in
+    degrees.  The scale bound is ``sup |cos| * (W + H)``; the rotation bound
     (per degree) additionally needs the largest admissible scale factor.
     Translation responds one-for-one to its matrix entry, so its bound is
     the coordinate-derivative bound of 1.
@@ -282,7 +268,7 @@ def lipschitz_bound(
     lo, hi = float(rotation_range[0]), float(rotation_range[1])
     if hi < lo:
         raise ValueError(f"empty rotation range ({lo}, {hi})")
-    sup_cos = _sup_deg(math.cos, lo, hi, 0.0, 360.0)
+    sup_cos = _sup_deg(lambda r: abs(math.cos(r)), lo, hi, 0.0, 180.0)
     sup_sin = _sup_deg(lambda r: abs(math.sin(r)), lo, hi, 90.0, 180.0)
     span = float(width + height)
     return {

@@ -68,8 +68,8 @@ class TransformDomain:
         def sym(center: float, radius: float):
             if radius == 0.0:
                 return None
-            if radius < 0.0:
-                raise ValueError(f"negative range radius {radius}")
+            if not 0.0 < radius < math.inf:
+                raise ValueError(f"range radius must be positive and finite, got {radius}")
             return (center - radius, center + radius)
 
         return cls(
@@ -120,16 +120,14 @@ class MarginObjective:
         image,
         label: int,
         domain: TransformDomain,
-        mode: str = "cos-scaled",
     ) -> None:
         self.model = model
         self.image = validate_image(image, check_range=True)
         self.label = int(label)
         self.domain = domain
-        self.mode = mode
 
     def __call__(self, thetas) -> np.ndarray:
-        matrices = build_matrix_batch(**self.domain.factor_columns(thetas), mode=self.mode)
+        matrices = build_matrix_batch(**self.domain.factor_columns(thetas))
         warped = warp_batch(self.image, matrices)
         logits = np.asarray(self.model(warped), dtype=float)
         return margin_batch(logits, self.label)

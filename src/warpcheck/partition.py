@@ -92,10 +92,6 @@ class HyperRect:
     def __post_init__(self) -> None:
         self.depth_key = min(self.depths)
 
-    @property
-    def n(self) -> int:
-        return len(self.depths)
-
     def center(self) -> np.ndarray:
         return _center_array(self.nums, self.depths)
 
@@ -145,7 +141,6 @@ class Partition:
     def __init__(self, n: int) -> None:
         if n < 1:
             raise PartitionError("partition needs at least one dimension")
-        self.n = n
         self.rects: dict[int, HyperRect] = {}
         self._next_id = 0
         self._add((1,) * n, (0,) * n)

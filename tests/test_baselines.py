@@ -144,3 +144,8 @@ class TestMatchMetric:
             match_metric(np.nan, 0.0)
         with pytest.raises(ValueError):
             match_metric(0.0, np.inf)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            match_metric(0.0, 0.0, tolerance)

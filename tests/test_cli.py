@@ -373,7 +373,19 @@ class TestOutOfRangeValues:
         "bounds": ("optimize", "bounds", "1,0", "[function]\nbounds = 1,0\n"),
         "oracle-grid": ("compare", "oracle_grid", "1", "[oracle]\ngrid = 1\n"),
         "oracle-random": ("compare", "oracle_random", "0", "[oracle]\nrandom = 0\n"),
+        "nan-tolerance": ("compare", "match_tolerance", "nan",
+                          "[oracle]\nmatch_tolerance = nan\n"),
+        "negative-tolerance": ("compare", "match_tolerance", "-1",
+                               "[oracle]\nmatch_tolerance = -1\n"),
+        "infinite-tau": ("verify", "tau", "inf", "[search]\ntau = inf\n"),
+        "nan-rotation": ("verify", "rotation", "nan", "[rotation]\nrange = nan\n"),
+        "infinite-scale": ("verify", "scale", "inf", "[scale]\nrange = inf\n"),
+        "nan-translate": ("verify", "translate", "nan,1", "[translate]\nrange = nan,1\n"),
+        # 39**4 grid points on the 4-factor box exceed the grid cap
+        "oracle-grid-cap": ("compare", "oracle_grid", "39", "[oracle]\ngrid = 39\n"),
     }
+    # options besides --rotation 10 that a case's box needs
+    BOX = {"oracle-grid-cap": ["--scale", "0.05", "--translate", "1,1"]}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -388,7 +400,7 @@ class TestOutOfRangeValues:
             argv = [command, "--weights", str(path / "net.txt"), "--images", *names[:2],
                     "--labels", ",".join(labels)]
             if dest != "rotation":
-                argv += ["--rotation", "10"]
+                argv += ["--rotation", "10", *self.BOX.get(case, [])]
         flag = "--" + dest.replace("_", "-")
         if source == "flag":
             argv += [flag, value]
@@ -403,7 +415,11 @@ class TestOutOfRangeValues:
         with pytest.raises(SystemExit) as info:
             main([*argv, "--out", str(out)])
         assert info.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        if case != "no-range":  # that case names every range option
+            section, key = cli.OPTIONS[dest][:2]
+            assert f"error: {flag} (config key {section}.{key}):" in err
         assert searched == []
         assert not out.exists() or not any(out.iterdir())
 

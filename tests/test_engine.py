@@ -141,6 +141,10 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             BudgetConfig(tau=0.0)
         with pytest.raises(ValueError):
+            BudgetConfig(tau=np.inf)
+        with pytest.raises(ValueError):
+            BudgetConfig(tau=np.nan)
+        with pytest.raises(ValueError):
             BudgetConfig(alpha=0)
 
     def test_trace_csv_schema(self):
@@ -150,6 +154,13 @@ class TestRunBasics:
         assert lines[0].startswith("# warpcheck-trace")
         assert lines[1] == "iteration,queries,l_min,l_star_min,k_hat_max,n_po"
         assert len(lines) == 2 + len(trace.records)
+
+    def test_write_csv_writes_to_csv_bytes(self, tmp_path):
+        fn = make_function("multi-basin")
+        trace = run(fn, fn.param_space(), BudgetConfig(max_iters=8, max_queries=200, depth=4))
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        assert path.read_bytes() == trace.to_csv().encode()
 
 
 class TestCoverage:

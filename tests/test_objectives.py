@@ -63,6 +63,12 @@ class TestTransformDomain:
         with pytest.raises(ValueError):
             TransformDomain.from_ranges(rotation=-5.0)
 
+    @pytest.mark.parametrize("ranges", [{"rotation": np.nan}, {"scale": np.inf},
+                                        {"translate": (np.nan, 1.0)}])
+    def test_non_finite_radius_rejected(self, ranges):
+        with pytest.raises(ValueError, match="finite"):
+            TransformDomain.from_ranges(**ranges)
+
     def test_identity_fill_for_inactive_factors(self):
         dom = TransformDomain.from_ranges(scale=0.1)
         cols = dom.factor_columns(np.array([[1.05], [0.95]]))
