@@ -6,8 +6,9 @@ which the adaptive search never touches, making it a strictly stronger
 oracle at equal resolution.  Random sampling uses numpy's PCG64 generator,
 a published algorithm with stable streams, so runs are reproducible across
 platforms; for a fixed seed the first ``n`` samples of a longer run equal
-a shorter run's samples.  A NaN or infinite objective value raises
-``ValueError``, since it has no place in the order the minimum is taken in.
+a shorter run's samples.  The objective is called through
+:func:`engine.evaluate`, so a NaN or infinite value, which has no place in
+the order the minimum is taken in, raises its ``ObjectiveError``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import evaluate
 from .partition import ParamSpace
 
 # grid_search's default cap; compare checks its grid against it before searching
 MAX_GRID_POINTS = 2_000_000
+# points per objective call, which bounds the memory of one call's warped images
+_CHUNK_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -31,24 +35,12 @@ class SearchResult:
     n_points: int
 
 
-def _batched_min(objective, points: np.ndarray, batch_size: int) -> SearchResult:
-    best = np.inf
-    best_idx = -1
-    for start in range(0, len(points), batch_size):
-        chunk = points[start : start + batch_size]
-        values = np.asarray(objective(chunk), dtype=float)
-        if values.shape != (len(chunk),):
-            raise ValueError(
-                f"objective returned shape {values.shape}, expected ({len(chunk)},)"
-            )
-        # argmin would land on a NaN, which then never compares below best
-        if not np.all(np.isfinite(values)):
-            raise ValueError("objective returned a non-finite value")
-        idx = int(np.argmin(values))
-        if values[idx] < best:
-            best = float(values[idx])
-            best_idx = start + idx
-    return SearchResult(min_value=best, argmin=points[best_idx].copy(), n_points=len(points))
+def _argmin(objective, points: np.ndarray) -> SearchResult:
+    values = np.concatenate([evaluate(objective, points[start : start + _CHUNK_POINTS])
+                             for start in range(0, len(points), _CHUNK_POINTS)])
+    best = int(np.argmin(values))
+    return SearchResult(min_value=float(values[best]), argmin=points[best].copy(),
+                        n_points=len(points))
 
 
 def grid_search(
@@ -56,7 +48,6 @@ def grid_search(
     space: ParamSpace,
     points_per_dim: int,
     max_points: int = MAX_GRID_POINTS,
-    batch_size: int = 65536,
 ) -> SearchResult:
     """Evaluate the full Cartesian grid, endpoints included.
 
@@ -73,22 +64,16 @@ def grid_search(
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in space.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    return _batched_min(objective, points, batch_size)
+    return _argmin(objective, points)
 
 
-def random_pick(
-    objective,
-    space: ParamSpace,
-    n_samples: int,
-    seed: int,
-    batch_size: int = 65536,
-) -> SearchResult:
+def random_pick(objective, space: ParamSpace, n_samples: int, seed: int) -> SearchResult:
     """Uniform samples over the box from a seeded PCG64 stream."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     points = space.lows + rng.random((n_samples, space.n)) * space.ranges
-    return _batched_min(objective, points, batch_size)
+    return _argmin(objective, points)
 
 
 def match_metric(method_min: float, oracle_min: float, tolerance: float = 0.0) -> bool:

@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MAX_GRID_POINTS, grid_search, match_metric, random_pick
-from .engine import (FALSIFIED, UNDECIDED, VERIFIED_ESTIMATE, BudgetConfig, ObjectiveError,
-                     run, verify)
+from .engine import FALSIFIED, UNDECIDED, VERIFIED_ESTIMATE, BudgetConfig, run, verify
 from .images import read_image
 from .netfwd import forward, load_weights
 from .objectives import MarginObjective, TransformDomain, test_function
@@ -103,6 +102,13 @@ class Resolver:
             read = self.file.read(config_path)
             if not read:
                 raise ConfigError(f"cannot read config file {config_path}")
+            # a key of another subcommand is known, so one file serves all three;
+            # a [DEFAULT] key is inherited by every section, not a key of its own
+            known = {spec[:2] for spec in OPTIONS.values()}
+            for section in self.file.sections():
+                for key in self.file.options(section):
+                    if (section, key) not in known and key not in self.file.defaults():
+                        raise ConfigError(f"{config_path}: unknown key {key!r} in section [{section}]")
         self.effective: dict[str, str] = {}
 
     def get(self, dest: str, required: bool = False):
@@ -284,7 +290,7 @@ def _examples(res: Resolver, domain: TransformDomain, attack):
             objective = MarginObjective(model, read_image(path), label, domain)
             if not (skip and objective.clean_margin <= 0.0):
                 outcome = attack(space, i, objective)
-        except (OSError, ValueError, ObjectiveError) as exc:
+        except (OSError, ValueError) as exc:
             errors[i] = str(exc)
             sys.stderr.write(f"error: example {i} ({path}): {exc}\n")
         examples.append((i, path, label, objective, outcome))
@@ -339,6 +345,8 @@ def cmd_compare(res: Resolver) -> int:
         raise _bad("oracle_grid", "need at least 2 points per dimension")
     if random_samples < 1:
         raise _bad("oracle_random", "need at least 1 sample")
+    if seed < 0:
+        raise _bad("seed", "need a non-negative seed")
     try:
         match_metric(0.0, 0.0, tolerance)
     except ValueError as exc:

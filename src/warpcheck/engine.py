@@ -132,26 +132,26 @@ class RunTrace:
         }
 
 
-class ObjectiveError(RuntimeError):
-    """The objective failed mid-run; the partial trace is preserved and marked."""
+class ObjectiveError(ValueError):
+    """A batch objective raised or broke its contract.  ``trace`` is the
+    partial trace, marked ``objective-error``, when :func:`run` made the call."""
 
-    def __init__(self, message: str, trace: RunTrace) -> None:
-        super().__init__(message)
-        trace.stop_reason = "objective-error"
-        self.trace = trace
+    trace: RunTrace | None = None
 
 
-def _evaluate(objective: Objective, points: np.ndarray, trace: RunTrace) -> np.ndarray:
+def evaluate(objective: Objective, points: np.ndarray) -> np.ndarray:
+    """Call a batch objective: ``B`` points in, ``B`` finite values out, or an
+    :class:`ObjectiveError`.  Every method that queries an objective calls it here."""
     try:
         values = np.asarray(objective(points), dtype=float)
     except Exception as exc:
-        raise ObjectiveError(f"objective raised: {exc}", trace) from exc
+        raise ObjectiveError(f"objective raised: {exc}") from exc
     if values.shape != (len(points),):
         raise ObjectiveError(
-            f"objective returned shape {values.shape}, expected ({len(points)},)", trace
+            f"objective returned shape {values.shape}, expected ({len(points)},)"
         )
     if not np.all(np.isfinite(values)):
-        raise ObjectiveError("objective returned a non-finite value", trace)
+        raise ObjectiveError("objective returned a non-finite value")
     return values
 
 
@@ -176,8 +176,15 @@ def run(
     tracker = SlopeTracker(space)
     trace = RunTrace()
 
+    def ask(unit: np.ndarray) -> np.ndarray:
+        try:
+            return evaluate(objective, space.to_physical(unit))
+        except ObjectiveError as exc:
+            trace.stop_reason, exc.trace = "objective-error", trace
+            raise
+
     best = partition.rects[0]
-    best.value = float(_evaluate(objective, space.to_physical(best.center()[None]), trace)[0])
+    best.value = float(ask(best.center()[None])[0])
     queries = 1
 
     po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
@@ -215,7 +222,7 @@ def run(
         # select_po skips every rect at the depth cap, so each has sample points
         plan = [(rect_id, sample_points(partition.rects[rect_id])) for rect_id in po]
         unit = np.array([p.center() for _, points in plan for p in points])
-        values = iter(_evaluate(objective, space.to_physical(unit), trace).tolist())
+        values = iter(ask(unit).tolist())
         queries += len(unit)
 
         for rect_id, points in plan:
@@ -264,7 +271,6 @@ def verify(
     objective: Objective,
     space: ParamSpace,
     budget: BudgetConfig | None = None,
-    known_lipschitz: float | None = None,
 ) -> VerificationResult:
     """Run the search on a margin objective and classify the outcome.
 
@@ -272,7 +278,7 @@ def verify(
     physical point achieving the best observed value); verified when the
     final lower-bound estimate stayed positive; undecided otherwise.
     """
-    trace = run(objective, space, budget, known_lipschitz)
+    trace = run(objective, space, budget)
     if trace.l_min < 0.0:
         status, witness = FALSIFIED, trace.c_min
     elif trace.l_star_min > 0.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpcheck import baselines
 from warpcheck.baselines import grid_search, match_metric, random_pick
 from warpcheck.objectives import test_function as make_function
 from warpcheck.partition import ParamSpace
@@ -53,13 +54,24 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(lambda pts: np.zeros(len(pts)), UNIT1, 1)
 
-    def test_batched_evaluation_matches_single_batch(self):
+    def test_batched_evaluation_matches_single_batch(self, monkeypatch):
         fn = make_function("multi-basin")
         space = fn.param_space()
-        small = grid_search(fn, space, 40, batch_size=64)
-        big = grid_search(fn, space, 40, batch_size=10**6)
+        big = grid_search(fn, space, 40)
+        monkeypatch.setattr(baselines, "_CHUNK_POINTS", 64)
+        sizes = []
+        small = grid_search(lambda pts: (sizes.append(len(pts)), fn(pts))[1], space, 40)
+        assert sizes == [64] * 25
         assert small.min_value == big.min_value
         assert np.array_equal(small.argmin, big.argmin)
+
+    def test_equal_minima_in_two_chunks_break_to_first_point(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_CHUNK_POINTS", 4)
+        # 11 grid points over [0, 1]: minima at indices 2 (first chunk) and 8 (third)
+        fn = lambda pts: np.where(np.isin(np.round(pts[:, 0] * 10), [2, 8]), -1.0, 0.0)
+        res = grid_search(fn, UNIT1, 11)
+        assert res.min_value == -1.0
+        assert res.argmin[0] == np.linspace(0.0, 1.0, 11)[2]
 
 
 class TestRandomPick:

@@ -383,6 +383,7 @@ class TestOutOfRangeValues:
         "nan-translate": ("verify", "translate", "nan,1", "[translate]\nrange = nan,1\n"),
         # 39**4 grid points on the 4-factor box exceed the grid cap
         "oracle-grid-cap": ("compare", "oracle_grid", "39", "[oracle]\ngrid = 39\n"),
+        "negative-seed": ("compare", "seed", "-1", "[search]\nseed = -1\n"),
     }
     # options besides --rotation 10 that a case's box needs
     BOX = {"oracle-grid-cap": ["--scale", "0.05", "--translate", "1,1"]}
@@ -422,6 +423,45 @@ class TestOutOfRangeValues:
             assert f"error: {flag} (config key {section}.{key}):" in err
         assert searched == []
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestUnknownConfigKeys:
+    """A config key that no option names is a config error (exit 2) naming the
+    file, section and key, caught before any example is searched."""
+
+    CASES = {
+        "misspelled-key": ("search", "max_iter"),
+        "misspelled-section": ("serch", "max_iters"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_naming_the_key(self, case, model_dir, tmp_path, capsys, monkeypatch):
+        path, names = model_dir
+        section, key = self.CASES[case]
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 3\n")
+        label = (path / "labels.txt").read_text().split()[0]
+        searched = []
+        monkeypatch.setattr(cli, "verify", lambda *args: searched.append(args))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--weights", str(path / "net.txt"), "--images", names[0],
+                  "--labels", label, "--rotation", "10", "--config", str(cfg),
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert f"error: {cfg}: unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+        assert searched == []
+        assert not out.exists()
+
+    def test_keys_of_other_commands_and_defaults_accepted(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("[DEFAULT]\nrange = 5\n[search]\nmax_iters = 2\n"
+                       "[oracle]\ngrid = 3\n[model]\nweights = net.txt\n")
+        argv = ["optimize", "--fn", "abs1d", "--bounds", "0,1", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        header, payload = read_summary(tmp_path / "out" / "summary.txt")
+        assert "# search.max_iters = 2" in header and payload["iterations"] == 2
 
 
 class TestOptionTable:

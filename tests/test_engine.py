@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from warpcheck.baselines import grid_search
+from warpcheck.baselines import grid_search, random_pick
 from warpcheck.engine import (
     FALSIFIED,
     UNDECIDED,
@@ -161,6 +161,41 @@ class TestRunBasics:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         assert path.read_bytes() == trace.to_csv().encode()
+
+
+class TestObjectiveContract:
+    """The search and both baselines call an objective through one function, so
+    a broken objective raises the same ObjectiveError from each of them."""
+
+    METHODS = {
+        "run": lambda fn: run(fn, UNIT1, BudgetConfig(max_iters=3)),
+        "grid": lambda fn: grid_search(fn, UNIT1, 5),
+        "random": lambda fn: random_pick(fn, UNIT1, 7, seed=0),
+    }
+    BROKEN = {
+        "raises": lambda pts: 1 / 0,
+        "shape": lambda pts: np.zeros((len(pts), 2)),
+        "nan": lambda pts: np.full(len(pts), np.nan),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BROKEN))
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_same_error_from_every_method(self, method, kind):
+        sizes = []
+        fn = lambda pts: (sizes.append(len(pts)), self.BROKEN[kind](pts))[1]
+        with pytest.raises(ObjectiveError) as info:
+            self.METHODS[method](fn)
+        n = sizes[-1]
+        assert str(info.value) == {
+            "raises": "objective raised: division by zero",
+            "shape": f"objective returned shape ({n}, 2), expected ({n},)",
+            "nan": "objective returned a non-finite value",
+        }[kind]
+        assert isinstance(info.value, ValueError)
+        if method == "run":
+            assert info.value.trace.stop_reason == "objective-error"
+        else:
+            assert info.value.trace is None
 
 
 class TestCoverage:

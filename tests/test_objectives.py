@@ -42,16 +42,13 @@ class TestMarginLoss:
 class TestTransformDomain:
     def test_from_ranges_symmetric(self):
         dom = TransformDomain.from_ranges(rotation=20.0, scale=0.1, translate=(22.4, 22.4))
-        assert dom.rotation == (-20.0, 20.0)
-        assert dom.scale == (0.9, 1.1)
-        assert dom.t_hor == (-22.4, 22.4)
-        assert dom.t_vrt == (-22.4, 22.4)
         assert dom.factors == ("rotation", "scale", "t_hor", "t_vrt")
+        assert dom.bounds == ((-20.0, 20.0), (0.9, 1.1), (-22.4, 22.4), (-22.4, 22.4))
 
     def test_zero_width_factor_dropped(self):
         dom = TransformDomain.from_ranges(rotation=0.0, scale=0.1)
-        assert dom.rotation is None
         assert dom.factors == ("scale",)
+        assert dom.bounds == ((0.9, 1.1),)
         assert dom.param_space().bounds == ((0.9, 1.1),)
 
     def test_all_degenerate_rejected(self):
@@ -68,6 +65,16 @@ class TestTransformDomain:
     def test_non_finite_radius_rejected(self, ranges):
         with pytest.raises(ValueError, match="finite"):
             TransformDomain.from_ranges(**ranges)
+
+    @pytest.mark.parametrize("factors, bounds", [
+        (("shear",), ((0.0, 1.0),)),
+        (("scale", "rotation"), ((0.9, 1.1), (-5.0, 5.0))),
+        (("scale", "scale"), ((0.9, 1.1), (0.9, 1.1))),
+        (("scale",), ()),
+    ])
+    def test_malformed_factors_rejected(self, factors, bounds):
+        with pytest.raises(ValueError, match="distinct factors"):
+            TransformDomain(factors, bounds)
 
     def test_identity_fill_for_inactive_factors(self):
         dom = TransformDomain.from_ranges(scale=0.1)
