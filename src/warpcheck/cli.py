@@ -103,8 +103,13 @@ class Resolver:
             if not read:
                 raise ConfigError(f"cannot read config file {config_path}")
             # a key of another subcommand is known, so one file serves all three;
-            # a [DEFAULT] key is inherited by every section, not a key of its own
+            # a [DEFAULT] key is inherited by every section, so it need only be
+            # some option's key, and is not checked again in each section
             known = {spec[:2] for spec in OPTIONS.values()}
+            option_keys = {key for _, key in known}
+            for key in self.file.defaults():
+                if key not in option_keys:
+                    raise ConfigError(f"{config_path}: unknown key {key!r} in section [DEFAULT]")
             for section in self.file.sections():
                 for key in self.file.options(section):
                     if (section, key) not in known and key not in self.file.defaults():

@@ -13,6 +13,13 @@ read zero without a bounds mask.  The interpolation weights and their
 summation order are fixed, so an identity matrix reproduces the input bit
 for bit.
 
+:func:`warp_batch` pads the image once and fills its output in chunks of a
+fixed number of source positions (points x H x W).  Within a chunk each
+source coordinate is the sum of separable (points, W) and (points, H)
+products, so only the sum is full size.  Its extra memory therefore does
+not grow with the batch, and chunking does not change a bit: each point's
+values are those of a warp of that point alone.
+
 The matrix applies the scale factor to the cosine entries only:
 
     [[s*cos(r), -sin(r), tx],
@@ -30,6 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 FACTORS = ("rotation", "scale", "t_hor", "t_vrt")
+
+# source positions (points x H x W) that warp_batch fills per chunk: its
+# temporaries then stay near the L2 cache's size whatever the batch
+_WARP_CHUNK_POSITIONS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -114,37 +125,57 @@ def matrix_grad(params: TransformParams, factor: str) -> np.ndarray:
     )
 
 
-def _source_coords(matrices: np.ndarray, height: int, width: int):
-    """Source row/col arrays (B, H, W) for each output pixel."""
+def _axes(height: int, width: int):
+    """Centred column coordinates (W,), row coordinates (H, 1), and the
+    centre ``(cx, cy)``; the two axes broadcast to the (H, W) pixel grid."""
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
-    xs = np.arange(width) - cx
-    ys = np.arange(height) - cy
-    xg, yg = np.meshgrid(xs, ys)  # (H, W)
-    a = matrices[:, None, None, :, :]  # (B, 1, 1, 2, 3)
-    src_x = a[..., 0, 0] * xg + a[..., 0, 1] * yg + a[..., 0, 2]
-    src_y = a[..., 1, 0] * xg + a[..., 1, 1] * yg + a[..., 1, 2]
-    return src_y + cy, src_x + cx, xg, yg
+    return np.arange(width) - cx, (np.arange(height) - cy)[:, None], cx, cy
 
 
-def _corners(image: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Bilinear corners of each source position in one gather per corner.
+def _source_coords(matrices: np.ndarray, height: int, width: int):
+    """Source rows and cols (B, H, W) for each output pixel, and the axes
+    ``xs`` (W,) and ``ys`` (H, 1) they are formed from.
 
-    Returns ``(fr, fc, [v00, v01, v10, v11])``: the fractional offsets with
-    a trailing channel axis, and the pixel values at (r0, c0), (r0, c0 + 1),
-    (r0 + 1, c0) and (r0 + 1, c0 + 1), each (..., C) and freshly allocated.
-    The image gets a two-pixel ring of zeros and the floored coordinates are
-    clipped into it, so out-of-grid corners read zero without a mask.  Each
-    ring pixel is its nearest edge pixel times 0.0, which keeps the sign of
-    the zero that masking an edge pixel gives.
+    Each product is taken on its (B, 1, W) or (B, H, 1) factor and only the
+    sum is full size, which gives the bits of full-size products.
     """
-    h, w, c = image.shape
+    xs, ys, cx, cy = _axes(height, width)
+    a = matrices[:, None, None, :, :]  # (B, 1, 1, 2, 3)
+    src_x = a[..., 0, 0] * xs + a[..., 0, 1] * ys
+    src_x += a[..., 0, 2]
+    src_x += cx
+    src_y = a[..., 1, 0] * xs + a[..., 1, 1] * ys
+    src_y += a[..., 1, 2]
+    src_y += cy
+    return src_y, src_x, xs, ys
+
+
+def _pad(image: np.ndarray) -> np.ndarray:
+    """The image with a two-pixel ring, each ring pixel its nearest edge
+    pixel times 0.0, which keeps the sign of the zero that masking an edge
+    pixel gives."""
     padded = np.pad(image, ((2, 2), (2, 2), (0, 0)), mode="edge")
     padded[:2] *= 0.0
     padded[-2:] *= 0.0
     padded[:, :2] *= 0.0
     padded[:, -2:] *= 0.0
-    flat = padded.reshape(-1, c)
+    return padded
+
+
+def _corners(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray, out=None):
+    """Bilinear corners of each source position in one gather per corner.
+
+    ``padded`` is the image as :func:`_pad` returns it.  Returns
+    ``(fr, fc, [v00, v01, v10, v11])``: the fractional offsets with a
+    trailing channel axis, and the pixel values at (r0, c0), (r0, c0 + 1),
+    (r0 + 1, c0) and (r0 + 1, c0 + 1), each (..., C).  ``v00`` is written
+    into ``out`` when given; the others are freshly allocated.  The floored
+    coordinates are clipped into the ring, so out-of-grid corners read zero
+    without a mask.
+    """
+    h, w = padded.shape[0] - 4, padded.shape[1] - 4
+    flat = padded.reshape(-1, padded.shape[2])
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
     fr = (rows - r0)[..., None]
@@ -154,23 +185,22 @@ def _corners(image: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     idx *= stride
     idx += np.clip(c0, -2, w, out=c0)
     idx += 2 * stride + 2
-    corners = [np.take(flat[offset:], idx, axis=0) for offset in (0, 1, stride, stride + 1)]
-    return fr, fc, corners
+    # every index is in range, so mode="clip" only spares the buffered copy
+    # that np.take makes for ``out`` under the default mode
+    v00 = np.take(flat, idx, axis=0, out=out, mode="clip")
+    corners = [np.take(flat[offset:], idx, axis=0) for offset in (1, stride, stride + 1)]
+    return fr, fc, [v00, *corners]
 
 
-def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
-    """Apply a batch of source-lookup matrices; output (B, H, W, C).
+def _warp_into(padded: np.ndarray, matrices: np.ndarray, out: np.ndarray) -> None:
+    """Bilinear warp of the padded image by each matrix, written into ``out``.
 
-    Each output pixel takes the bilinear interpolation of the source image
-    at its mapped position, every channel alike, zero outside the grid.
-    The result is linear in the pixel values, and an identity matrix
-    reproduces the input bit for bit.
+    One chunk of :func:`warp_batch`; its temporaries are freed on return,
+    before the next chunk allocates its own.
     """
-    img = validate_image(image)
-    h, w, _ = img.shape
-    matrices = np.asarray(matrices, dtype=float)
+    h, w = out.shape[1:3]
     rows, cols, _, _ = _source_coords(matrices, h, w)
-    fr, fc, (out, v01, v10, v11) = _corners(img, rows, cols)
+    fr, fc, (_, v01, v10, v11) = _corners(padded, rows, cols, out=out)
     gr = 1.0 - fr
     gc = 1.0 - fc
     # same products and summation order as v00*gr*gc + v01*gr*fc + ...
@@ -185,6 +215,26 @@ def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
     v11 *= fr
     v11 *= fc
     out += v11
+
+
+def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
+    """Apply a batch of source-lookup matrices; output (B, H, W, C).
+
+    Each output pixel takes the bilinear interpolation of the source image
+    at its mapped position, every channel alike, zero outside the grid.
+    The result is linear in the pixel values, and an identity matrix
+    reproduces the input bit for bit.  The output is filled in chunks of
+    at most ``_WARP_CHUNK_POSITIONS`` source positions, or one point, so
+    the temporaries do not grow with the batch.
+    """
+    img = validate_image(image)
+    h, w, c = img.shape
+    matrices = np.asarray(matrices, dtype=float)
+    padded = _pad(img)
+    out = np.empty((len(matrices), h, w, c))
+    step = max(1, _WARP_CHUNK_POSITIONS // (h * w))
+    for start in range(0, len(matrices), step):
+        _warp_into(padded, matrices[start:start + step], out[start:start + step])
     return out
 
 
@@ -210,7 +260,7 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     h, w, _ = img.shape
     matrix = np.asarray(matrix, dtype=float)
     rows, cols, _, _ = _source_coords(matrix[None], h, w)
-    fr, fc, (v00, v01, v10, v11) = _corners(img, rows[0], cols[0])
+    fr, fc, (v00, v01, v10, v11) = _corners(_pad(img), rows[0], cols[0])
 
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)
     d_dx = np.where(fc == 0.0, (1.0 - fr) * v00 + fr * v10, d_dx)
@@ -235,9 +285,9 @@ def warp_grad(
     matrix = build_matrix(params)
     d_dx, d_dy = warp_coordinate_grads(img, matrix)
     da = matrix_grad(params, factor)
-    _, _, xg, yg = _source_coords(matrix[None], h, w)
-    dcol = da[0, 0] * xg + da[0, 1] * yg + da[0, 2]
-    drow = da[1, 0] * xg + da[1, 1] * yg + da[1, 2]
+    xs, ys, _, _ = _axes(h, w)
+    dcol = da[0, 0] * xs + da[0, 1] * ys + da[0, 2]
+    drow = da[1, 0] * xs + da[1, 1] * ys + da[1, 2]
     return d_dx * dcol[..., None] + d_dy * drow[..., None]
 
 

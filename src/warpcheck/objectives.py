@@ -110,6 +110,8 @@ class MarginObjective:
     since BLAS blocks its products by shape: over an 11**4 grid on the 8x8
     test fixture net, chunks of 512 to 4096 points give the bits of one call,
     while chunks of 256 or single points differ at some points by up to 6e-15.
+    The warp runs in chunks of its own, but those give the bits of one call;
+    the forward pass always takes the whole batch, so the note above holds.
     """
 
     def __init__(

@@ -431,6 +431,7 @@ class TestUnknownConfigKeys:
 
     CASES = {
         "misspelled-key": ("search", "max_iter"),
+        "misspelled-default": ("DEFAULT", "max_iter"),
         "misspelled-section": ("serch", "max_iters"),
     }
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import warp_batch_reference, warp_coordinate_grads_reference
+from warpcheck import geometry
 from warpcheck.geometry import (
     FACTORS,
     IDENTITY,
@@ -144,6 +146,25 @@ class TestWarp:
         for k in range(4):
             assert np.array_equal(batch[k], warp(img, mats[k]))
 
+    def test_large_batch_peak_memory(self):
+        # the warp fills its output in chunks, so a large batch needs little
+        # memory beyond the output itself
+        rng = np.random.default_rng(20000)
+        img = rng.random((8, 8, 1))
+        mats = build_matrix_batch(
+            rng.uniform(-10.0, 10.0, 20000),
+            rng.uniform(0.9, 1.1, 20000),
+            rng.uniform(-1.0, 1.0, 20000),
+            rng.uniform(-1.0, 1.0, 20000),
+        )
+        tracemalloc.start()
+        try:
+            out = warp_batch(img, mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
     def test_rejects_bad_matrix_shape(self):
         with pytest.raises(ValueError):
             warp(np.zeros((4, 4)), np.eye(3))
@@ -172,6 +193,19 @@ class TestWarpMatchesMaskedReference:
         # negative pixels make masked-out corners signed zeros
         img = rng.random(shape) - 0.5
         mats = extreme_matrices(rng, batch)
+        assert bit_identical(warp_batch(img, mats), warp_batch_reference(img, mats))
+
+    @pytest.mark.parametrize("chunk_points", [1, 3, 100])
+    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3)])
+    def test_chunk_edges(self, monkeypatch, chunk_points, shape):
+        # chunks of one point (a single source position still makes one),
+        # of 3 points (the last of the 17 holds 2) and of more than the batch
+        h, w, _ = shape
+        positions = 1 if chunk_points == 1 else chunk_points * h * w
+        monkeypatch.setattr(geometry, "_WARP_CHUNK_POSITIONS", positions)
+        rng = np.random.default_rng(chunk_points + shape[2])
+        img = rng.random(shape) - 0.5
+        mats = extreme_matrices(rng, 17)
         assert bit_identical(warp_batch(img, mats), warp_batch_reference(img, mats))
 
     @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3), (6, 6, 1)])
