@@ -57,11 +57,11 @@ def _parse_bool(raw: str) -> bool:
 # marks a list flag and ``_parse_bool`` an on-switch.  --config has no key.
 OPTIONS = {
     "config": (None, None, str, None, "key = value config file"),
-    "depth": ("search", "depth", int, 6, "max trisections per dimension (D)"),
-    "alpha": ("search", "alpha", int, 2, "candidates kept per size group"),
-    "tau": ("search", "tau", float, 1e-4, "minimum relative improvement"),
-    "max_iters": ("search", "max_iters", int, 150, "iteration cap (T)"),
-    "max_queries": ("search", "max_queries", int, 2000, "query cap (Q)"),
+    "depth": ("search", "depth", int, BudgetConfig.depth, "max trisections per dimension (D)"),
+    "alpha": ("search", "alpha", int, BudgetConfig.alpha, "candidates kept per size group"),
+    "tau": ("search", "tau", float, BudgetConfig.tau, "minimum relative improvement"),
+    "max_iters": ("search", "max_iters", int, BudgetConfig.max_iters, "iteration cap (T)"),
+    "max_queries": ("search", "max_queries", int, BudgetConfig.max_queries, "query cap (Q)"),
     "seed": ("search", "seed", int, 0, "seed for randomised baselines"),
     "out": ("output", "dir", str, ".", "output directory"),
     "fn": ("function", "name", str, None, "test function name (e.g. abs1d, multi-basin)"),

@@ -155,12 +155,26 @@ def _pad(image: np.ndarray) -> np.ndarray:
     """The image with a two-pixel ring, each ring pixel its nearest edge
     pixel times 0.0, which keeps the sign of the zero that masking an edge
     pixel gives."""
-    padded = np.pad(image, ((2, 2), (2, 2), (0, 0)), mode="edge")
-    padded[:2] *= 0.0
-    padded[-2:] *= 0.0
-    padded[:, :2] *= 0.0
-    padded[:, -2:] *= 0.0
+    h, w, c = image.shape
+    padded = np.empty((h + 4, w + 4, c))
+    padded[2:-2, 2:-2] = image
+    padded[:2, 2:-2] = image[0] * 0.0
+    padded[-2:, 2:-2] = image[-1] * 0.0
+    padded[:, :2] = padded[:, 2:3] * 0.0
+    padded[:, -2:] = padded[:, -3:-2] * 0.0
     return padded
+
+
+def _checked_matrices(matrices, ndim: int) -> np.ndarray:
+    """``matrices`` as floats, checked to be finite and (B, 2, 3) for
+    ``ndim`` 3 or one (2, 3) matrix for ``ndim`` 2."""
+    arr = np.asarray(matrices, dtype=float)
+    if arr.ndim != ndim or arr.shape[-2:] != (2, 3):
+        expected = "(B, 2, 3) matrices" if ndim == 3 else "a (2, 3) matrix"
+        raise ValueError(f"expected {expected}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    return arr
 
 
 def _corners(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray, out=None):
@@ -225,11 +239,12 @@ def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
     The result is linear in the pixel values, and an identity matrix
     reproduces the input bit for bit.  The output is filled in chunks of
     at most ``_WARP_CHUNK_POSITIONS`` source positions, or one point, so
-    the temporaries do not grow with the batch.
+    the temporaries do not grow with the batch.  The matrices must be
+    finite and (B, 2, 3), else ``ValueError``.
     """
     img = validate_image(image)
     h, w, c = img.shape
-    matrices = np.asarray(matrices, dtype=float)
+    matrices = _checked_matrices(matrices, 3)
     padded = _pad(img)
     out = np.empty((len(matrices), h, w, c))
     step = max(1, _WARP_CHUNK_POSITIONS // (h * w))
@@ -240,10 +255,7 @@ def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
 
 def warp(image, matrix: np.ndarray) -> np.ndarray:
     """Single-matrix warp; output (H, W, C)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (2, 3):
-        raise ValueError(f"expected a (2, 3) matrix, got shape {matrix.shape}")
-    return warp_batch(image, matrix[None])[0]
+    return warp_batch(image, _checked_matrices(matrix, 2)[None])[0]
 
 
 def warp_coordinate_grads(image, matrix: np.ndarray):
@@ -258,8 +270,7 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     """
     img = validate_image(image)
     h, w, _ = img.shape
-    matrix = np.asarray(matrix, dtype=float)
-    rows, cols, _, _ = _source_coords(matrix[None], h, w)
+    rows, cols, _, _ = _source_coords(_checked_matrices(matrix, 2)[None], h, w)
     fr, fc, (v00, v01, v10, v11) = _corners(_pad(img), rows[0], cols[0])
 
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)

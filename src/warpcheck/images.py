@@ -1,13 +1,16 @@
 """Image file formats: binary PGM/PPM and a plain-text float matrix.
 
-PGM (P5) holds one channel and PPM (P6) three, both binary with maxval
-255, rows top to bottom.  The text format keeps full float precision: a
-header line ``H W C`` followed by whitespace-separated values in [0, 1],
-pixel-major with channels interleaved.  Quantisation happens only at the
-PGM/PPM boundary.
+PGM (P5) holds one channel and PPM (P6) three, both binary with maxval 255,
+rows top to bottom; their headers may hold ``#`` comments.  The text format
+keeps full float precision: a header line ``H W C`` followed by
+whitespace-separated values in [0, 1], pixel-major with channels interleaved.
+Quantisation happens only at the PGM/PPM boundary.  Sizes must be positive,
+and every :class:`ImageFormatError` a reader raises names the file.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -16,6 +19,11 @@ from .geometry import validate_image
 
 # netpbm extension -> (magic, channels)
 NETPBM = {".pgm": (b"P5", 1), ".ppm": (b"P6", 3)}
+
+# netpbm header: magic, width, height and maxval, each after whitespace and
+# '#' comments running to the end of their line, then one whitespace byte
+_FIELD = rb"(?:\s|#[^\n]*(?=\n|\Z))*([^\s#]\S*)(?!\S)"
+_NETPBM_HEADER = re.compile(_FIELD * 4 + rb"\s?")
 
 
 class ImageFormatError(ValueError):
@@ -55,26 +63,10 @@ def _write_netpbm(path: str, img: np.ndarray, magic: bytes, channels: int) -> No
 def _read_netpbm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
-    tokens = []
-    i = 0
-    # header: magic, width, height, maxval, with '#' comments allowed
-    while len(tokens) < 4:
-        if i >= len(raw):
-            raise ImageFormatError(f"truncated header in {path}")
-        ch = raw[i : i + 1]
-        if ch == b"#":
-            while i < len(raw) and raw[i : i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j : j + 1].isspace():
-                j += 1
-            tokens.append(raw[i:j])
-            i = j
-    i += 1  # single whitespace byte after maxval
-    magic, width, height, maxval = tokens
+    header = _NETPBM_HEADER.match(raw)
+    if header is None:
+        raise ImageFormatError(f"truncated header in {path}")
+    magic, width, height, maxval = header.groups()
     channels = {m: c for m, c in NETPBM.values()}.get(magic)
     if channels is None:
         raise ImageFormatError(f"unsupported magic {magic!r} in {path}")
@@ -84,12 +76,13 @@ def _read_netpbm(path: str) -> np.ndarray:
         raise ImageFormatError(f"bad header in {path}") from exc
     if mv < 1 or mv > 255:
         raise ImageFormatError(f"unsupported maxval {mv} in {path}")
-    body = raw[i:]
-    expected = w * h * channels
-    if len(body) < expected:
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"image size must be positive, got {w}x{h} in {path}")
+    size = h * w * channels
+    pixels = raw[header.end() : header.end() + size]
+    if len(pixels) < size:
         raise ImageFormatError(f"truncated pixel data in {path}")
-    data = np.frombuffer(body[:expected], dtype=np.uint8).astype(float) / mv
-    return data.reshape(h, w, channels)
+    return (np.frombuffer(pixels, dtype=np.uint8).astype(float) / mv).reshape(h, w, channels)
 
 
 def _write_text(path: str, img: np.ndarray) -> None:
@@ -103,17 +96,18 @@ def _write_text(path: str, img: np.ndarray) -> None:
 def _read_text(path: str) -> np.ndarray:
     try:
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3:
-                raise ImageFormatError(f"bad text-image header in {path}")
-            h, w, c = (int(t) for t in header)
-            values = np.array(fh.read().split(), dtype=float)
-    except OSError as exc:
+            header, body = fh.readline().split(), fh.read().split()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ImageFormatError(f"cannot read {path}: {exc}") from exc
+    if len(header) != 3:
+        raise ImageFormatError(f"bad text-image header in {path}")
+    try:
+        h, w, c = (int(t) for t in header)
+        values = np.array(body, dtype=float)
     except ValueError as exc:
         raise ImageFormatError(f"bad value in {path}: {exc}") from exc
+    if min(h, w, c) < 1:
+        raise ImageFormatError(f"image size must be positive, got {h}x{w}x{c} in {path}")
     if values.size != h * w * c:
-        raise ImageFormatError(
-            f"expected {h * w * c} values in {path}, found {values.size}"
-        )
+        raise ImageFormatError(f"expected {h * w * c} values in {path}, found {values.size}")
     return values.reshape(h, w, c)

@@ -9,6 +9,10 @@ Weight file format (text, whitespace separated, ``#`` comments allowed):
     <out_ch * in_ch * kernel * kernel weights> <out_ch biases>
     layer flatten
 
+A layer's values run to the next ``layer`` keyword, and their count must
+be the one its header implies.  Every :class:`WeightFormatError` that
+:func:`load_weights` raises names the file.
+
 Images flow through as (B, H, W, C) channel-last arrays; ``flatten``
 reorders row-major.  Inference is pure and deterministic.
 
@@ -22,6 +26,8 @@ grows with the batch.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,125 +136,100 @@ def forward(net: NetSpec, batch) -> np.ndarray:
     return x
 
 
-def _tokens(path: str) -> list[str]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise WeightFormatError(f"cannot read {path}: {exc}") from exc
-    toks: list[str] = []
-    for line in lines:
-        body = line.split("#", 1)[0]
-        toks.extend(body.split())
-    return toks
+# a '#' comment runs to the next line boundary that str.splitlines knows
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
-
-class _Reader:
-    def __init__(self, tokens: list[str], path: str) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.path = path
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def word(self) -> str:
-        if self.done():
-            raise WeightFormatError(f"truncated weight file {self.path}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def integer(self, what: str) -> int:
-        tok = self.word()
-        try:
-            value = int(tok)
-        except ValueError as exc:
-            raise WeightFormatError(f"expected {what}, got {tok!r} in {self.path}") from exc
-        if value < 0:
-            raise WeightFormatError(f"{what} must be nonnegative, got {value}")
-        return value
-
-    def floats(self, count: int, what: str) -> np.ndarray:
-        end = self.pos + count
-        if end > len(self.tokens):
-            raise WeightFormatError(
-                f"{what}: expected {count} values, file ends after "
-                f"{len(self.tokens) - self.pos} in {self.path}"
-            )
-        chunk = self.tokens[self.pos : end]
-        # a 'layer' keyword inside the block means the declared shape and
-        # the provided values disagree
-        if "layer" in chunk:
-            got = chunk.index("layer")
-            raise WeightFormatError(
-                f"{what}: expected {count} values, found {got} in {self.path}"
-            )
-        try:
-            values = np.array(chunk, dtype=float)
-        except ValueError as exc:
-            raise WeightFormatError(f"{what}: bad value in {self.path}: {exc}") from exc
-        self.pos = end
-        return values
+# layer tag -> the header integers after it; weights, then biases, follow them
+HEADERS = {
+    "dense": ("input size", "output size"),
+    "conv2d": ("input channels", "output channels", "kernel size", "stride", "padding"),
+    "relu": (),
+    "flatten": (),
+}
 
 
 def load_weights(path) -> NetSpec:
-    """Parse a weight file into a :class:`NetSpec`, validating shapes."""
+    """Parse a weight file into a :class:`NetSpec`, validating shapes: the
+    comment-stripped tokens are cut at each ``layer`` keyword, one block per layer."""
     path = str(path)
-    reader = _Reader(_tokens(path), path)
-    if reader.done():
+    try:
+        with open(path) as fh:
+            tokens = _COMMENT.sub("", fh.read()).split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WeightFormatError(f"cannot read {path}: {exc}") from exc
+    if not tokens:
         raise WeightFormatError(f"truncated weight file {path}: no layers")
-    layers: list = []
-    while not reader.done():
-        keyword = reader.word()
-        if keyword != "layer":
-            raise WeightFormatError(f"expected 'layer', got {keyword!r} in {path}")
-        tag = reader.word()
-        if tag == "dense":
-            n_in = reader.integer("dense input size")
-            n_out = reader.integer("dense output size")
-            w = reader.floats(n_out * n_in, f"dense({n_in},{n_out}) weights")
-            b = reader.floats(n_out, f"dense({n_in},{n_out}) biases")
-            layers.append(DenseLayer(w.reshape(n_out, n_in), b))
-        elif tag == "relu":
-            layers.append(ReluLayer())
-        elif tag == "flatten":
-            layers.append(FlattenLayer())
-        elif tag == "conv2d":
-            in_ch = reader.integer("conv2d input channels")
-            out_ch = reader.integer("conv2d output channels")
-            k = reader.integer("conv2d kernel size")
-            stride = reader.integer("conv2d stride")
-            pad = reader.integer("conv2d padding")
-            if k < 1 or stride < 1:
-                raise WeightFormatError("conv2d kernel and stride must be positive")
-            w = reader.floats(out_ch * in_ch * k * k, "conv2d weights")
-            b = reader.floats(out_ch, "conv2d biases")
-            layers.append(Conv2dLayer(w.reshape(out_ch, in_ch, k, k), b, stride, pad))
-        else:
-            raise WeightFormatError(f"unknown layer tag {tag!r} in {path}")
-    net = NetSpec(layers)
-    net.n_classes  # fails early when no logits layer exists
-    return net
+    if tokens[0] != "layer":
+        raise WeightFormatError(f"expected 'layer', got {tokens[0]!r} in {path}")
+    tokens.append("layer")  # closes the last block
+    layers, start = [], 0
+    while start < len(tokens) - 1:
+        end = tokens.index("layer", start + 1)
+        layers.append(_layer(tokens[start + 1 : end], path))
+        start = end
+    if not any(isinstance(layer, DenseLayer) for layer in layers):
+        raise WeightFormatError(f"network has no dense layer producing logits in {path}")
+    return NetSpec(layers)
+
+
+def _layer(block: list[str], path: str):
+    """The layer a block holds: tag, header integers, then their values."""
+    if not block:
+        raise WeightFormatError(f"'layer' without a tag in {path}")
+    tag = block[0]
+    if tag not in HEADERS:
+        raise WeightFormatError(f"unknown layer tag {tag!r} in {path}")
+    names = HEADERS[tag]
+    if len(block) <= len(names):
+        raise WeightFormatError(f"truncated {tag} header in {path}")
+    dims = []
+    for name, tok in zip(names, block[1 : 1 + len(names)]):
+        try:
+            dims.append(int(tok))
+        except ValueError as exc:
+            raise WeightFormatError(f"expected {tag} {name}, got {tok!r} in {path}") from exc
+        if dims[-1] < 0:
+            raise WeightFormatError(f"{tag} {name} must be nonnegative, got {dims[-1]} in {path}")
+    values = block[1 + len(names) :]
+    if tag == "dense":
+        shape = (dims[1], dims[0])
+    elif tag == "conv2d":
+        if dims[2] < 1 or dims[3] < 1:
+            raise WeightFormatError(f"conv2d kernel and stride must be positive in {path}")
+        shape = (dims[1], dims[0], dims[2], dims[2])
+    else:
+        shape = (0,)  # no weights and no biases
+    count = math.prod(shape) + shape[0]
+    if len(values) != count:
+        raise WeightFormatError(f"{tag} layer needs {count} values, got {len(values)} in {path}")
+    if not names:
+        return ReluLayer() if tag == "relu" else FlattenLayer()
+    try:
+        flat = np.array(values, dtype=float)
+    except ValueError as exc:
+        raise WeightFormatError(f"{tag} layer: bad value in {path}: {exc}") from exc
+    weight, bias = flat[: count - shape[0]].reshape(shape), flat[count - shape[0] :]
+    if tag == "dense":
+        return DenseLayer(weight, bias)
+    return Conv2dLayer(weight, bias, stride=dims[3], pad=dims[4])
 
 
 def save_weights(path, net: NetSpec) -> None:
     """Write a :class:`NetSpec` in the text format read by :func:`load_weights`."""
     with open(path, "w", newline="\n") as fh:
         for layer in net.layers:
-            if isinstance(layer, DenseLayer):
-                n_out, n_in = layer.weight.shape
-                fh.write(f"layer dense {n_in} {n_out}\n")
-                fh.write(" ".join(repr(float(v)) for v in layer.weight.ravel()) + "\n")
-                fh.write(" ".join(repr(float(v)) for v in layer.bias) + "\n")
-            elif isinstance(layer, ReluLayer):
+            if isinstance(layer, ReluLayer):
                 fh.write("layer relu\n")
             elif isinstance(layer, FlattenLayer):
                 fh.write("layer flatten\n")
+            elif isinstance(layer, DenseLayer):
+                n_out, n_in = layer.weight.shape
+                fh.write(f"layer dense {n_in} {n_out}\n")
             elif isinstance(layer, Conv2dLayer):
                 out_ch, in_ch, k, _ = layer.weight.shape
                 fh.write(f"layer conv2d {in_ch} {out_ch} {k} {layer.stride} {layer.pad}\n")
-                fh.write(" ".join(repr(float(v)) for v in layer.weight.ravel()) + "\n")
-                fh.write(" ".join(repr(float(v)) for v in layer.bias) + "\n")
             else:
                 raise WeightFormatError(f"cannot serialise layer {layer!r}")
+            if isinstance(layer, (DenseLayer, Conv2dLayer)):
+                for values in (layer.weight.ravel(), layer.bias):
+                    fh.write(" ".join(repr(float(v)) for v in values) + "\n")

@@ -169,6 +169,28 @@ class TestWarp:
         with pytest.raises(ValueError):
             warp(np.zeros((4, 4)), np.eye(3))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda img: warp_batch(img, np.eye(2, 3)),
+            lambda img: warp_batch(img, np.stack([np.eye(3)] * 3)),
+            lambda img: warp_batch(img, np.full((1, 2, 3), np.nan)),
+            lambda img: warp_batch(img, [[[1.0, 0.0, np.inf], [0.0, 1.0, 0.0]]]),
+            lambda img: warp_coordinate_grads(img, np.eye(3)),
+            lambda img: warp_coordinate_grads(img, np.eye(2, 3)[None]),
+            lambda img: warp_coordinate_grads(img, [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]]),
+            lambda img: warp(img, np.full((2, 3), -np.inf)),
+        ],
+        ids=["2x3-as-batch", "3x3x3-batch", "nan-batch", "inf-batch", "grads-3x3",
+             "grads-1x2x3", "grads-nan", "warp-inf"],
+    )
+    def test_rejects_bad_matrices(self, call):
+        with pytest.raises(ValueError, match="matri"):
+            call(np.random.default_rng(3).random((4, 5, 2)))
+
+    def test_empty_batch(self):
+        assert warp_batch(np.zeros((4, 5, 2)), np.zeros((0, 2, 3))).shape == (0, 4, 5, 2)
+
 
 def bit_identical(a, b):
     """Equal values, shapes and signs of zero."""

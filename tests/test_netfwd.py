@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixtures import build_fixture_net
 from warpcheck import netfwd
 from warpcheck.netfwd import (
     Conv2dLayer,
@@ -183,6 +184,120 @@ class TestLoadWeights:
         back = load_weights(path)
         x = rng.random((2, 4, 4, 1))
         assert np.array_equal(forward(net, x), forward(back, x))
+
+
+# case -> weight file text; each must raise WeightFormatError naming the file
+MALFORMED_WEIGHTS = {
+    "empty": "",
+    "comment-only": "# no layers here\n   # indented comment\n",
+    "first-token-not-layer": "dense 1 1\n1\n0\n",
+    "unknown-tag": "layer dense 1 1\n1\n0\nlayer softmax\n",
+    "layer-at-end": "layer dense 1 1\n1\n0\nlayer\n",
+    "layer-without-tag": "layer layer dense 1 1\n1\n0\n",
+    "non-integer-header": "layer dense 1.5 1\n1\n0\n",
+    "word-header": "layer conv2d 1 one 1 1 0\n1\n0\n",
+    "negative-header": "layer dense -1 1\n0\n",
+    "negative-padding": "layer conv2d 1 1 1 1 -1\n1\n0\n",
+    "truncated-header": "layer conv2d 1 1 1\n",
+    "conv-kernel-zero": "layer conv2d 1 1 0 1 0\n0\n",
+    "conv-stride-zero": "layer conv2d 1 1 1 0 0\n1\n0\n",
+    "too-few-values": "layer dense 2 1\n1\n0\n",
+    "too-few-before-next-layer": "layer dense 2 2\n1 2 3\nlayer relu\n1 1 1\n",
+    "too-many-before-next-layer": "layer dense 1 1\n1 2 3\nlayer relu\n",
+    "too-many-at-end": "layer dense 1 1\n1\n0\n5\n",
+    "values-after-relu": "layer dense 1 1\n1\n0\nlayer relu 0\n",
+    "non-numeric-value": "layer dense 1 1\nx\n0\n",
+    "non-numeric-bias": "layer conv2d 1 1 1 1 0\n1\nnan0\nlayer flatten\nlayer dense 1 1\n1 0\n",
+    "no-dense-layer": "layer conv2d 1 1 1 1 0\n1\n0\nlayer flatten\n",
+}
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_WEIGHTS))
+    def test_rejected(self, tmp_path, case):
+        path = tmp_path / f"{case}.txt"
+        path.write_text(MALFORMED_WEIGHTS[case])
+        with pytest.raises(WeightFormatError) as info:
+            load_weights(path)
+        assert str(path) in str(info.value)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"layer dense 1 1\n\xff\xfe\x00\n0\n")
+        with pytest.raises(WeightFormatError) as info:
+            load_weights(path)
+        assert str(path) in str(info.value)
+
+
+def _layers_equal(a: NetSpec, b: NetSpec) -> bool:
+    """Same layer types, bit-identical arrays, same stride and padding."""
+    if [type(x) for x in a.layers] != [type(y) for y in b.layers]:
+        return False
+    for x, y in zip(a.layers, b.layers):
+        if isinstance(x, (DenseLayer, Conv2dLayer)):
+            if x.weight.shape != y.weight.shape or x.weight.tobytes() != y.weight.tobytes():
+                return False
+            if x.bias.shape != y.bias.shape or x.bias.tobytes() != y.bias.tobytes():
+                return False
+        if isinstance(x, Conv2dLayer) and (x.stride, x.pad) != (y.stride, y.pad):
+            return False
+    return True
+
+
+def _every_layer_net():
+    rng = np.random.default_rng(21)
+    return NetSpec([
+        Conv2dLayer(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride=2, pad=1),
+        ReluLayer(),
+        Conv2dLayer(rng.normal(size=(2, 3, 1, 1)) * 1e-300, rng.normal(size=2) * 1e300,
+                    stride=1, pad=0),
+        FlattenLayer(),
+        DenseLayer(rng.normal(size=(4, 18)), -rng.random(4)),
+        ReluLayer(),
+        DenseLayer(np.array([[0.1, -0.0, 5e-324, 1.7976931348623157e308]]), np.zeros(1)),
+    ])
+
+
+def _conv_verify_net():
+    # conv 3->8, conv 8->16 stride 2, dense 4096->10
+    rng = np.random.default_rng(32)
+    return NetSpec([
+        Conv2dLayer(rng.normal(size=(8, 3, 3, 3)), rng.normal(size=8), stride=1, pad=1),
+        ReluLayer(),
+        Conv2dLayer(rng.normal(size=(16, 8, 3, 3)), rng.normal(size=16), stride=2, pad=1),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(rng.normal(size=(10, 4096)), rng.normal(size=10)),
+    ])
+
+
+class TestWellFormedWeights:
+    @pytest.mark.parametrize("build", [_every_layer_net, build_fixture_net, _conv_verify_net])
+    def test_save_load_bit_identical(self, tmp_path, build):
+        net = build()
+        path = tmp_path / "net.txt"
+        save_weights(path, net)
+        assert _layers_equal(load_weights(path), net)
+
+    def test_comments_and_layout(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(
+            "# leading comment\n"
+            "layer conv2d 1 2 1 1 0 # header comment\n"
+            "0.5\t-0.25\n"
+            "  1e-3  # a form feed ends a line, as in str.splitlines\x0c"
+            "2.5 layer flatten layer dense\n"
+            "2 1 3 4\n"
+            "\n"
+            "-1 # trailing comment"
+        )
+        expected = NetSpec([
+            Conv2dLayer(np.array([0.5, -0.25]).reshape(2, 1, 1, 1), np.array([1e-3, 2.5]),
+                        stride=1, pad=0),
+            FlattenLayer(),
+            DenseLayer(np.array([[3.0, 4.0]]), np.array([-1.0])),
+        ])
+        assert _layers_equal(load_weights(path), expected)
 
 
 class TestLipschitzOfForward:
