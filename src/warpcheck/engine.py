@@ -26,7 +26,7 @@ import numpy as np
 
 from .partition import ParamSpace, Partition, sample_points
 from .selection import select_po
-from .slope import SlopeTracker, estimate_lower_bound
+from .slope import SlopeTracker, cover_radius, estimate_lower_bound
 
 Objective = Callable[[np.ndarray], np.ndarray]
 
@@ -110,10 +110,7 @@ class RunTrace:
         buf.write(f"# {TRACE_VERSION}\n")
         buf.write(",".join(TRACE_COLUMNS) + "\n")
         for r in self.records:
-            buf.write(
-                f"{r.iteration},{r.queries},{r.l_min!r},{r.l_star_min!r},"
-                f"{r.k_hat_max!r},{r.n_po}\n"
-            )
+            buf.write(",".join(repr(getattr(r, name)) for name in TRACE_COLUMNS) + "\n")
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -166,11 +163,15 @@ def run(
     ``objective`` receives an ``(B, n)`` array of physical points and must
     return one value per point, order preserving.  The unit-cube center
     (the identity transformation for symmetric bounds) is always the first
-    query.  With ``known_lipschitz`` set, the reported lower bound is the
-    least ``value - K * cover_radius`` over all live rects, which is sound
-    when ``K`` bounds the objective's slope in every factor; otherwise it is
-    the slope estimate gathered along the way, applied to the best rect.
+    query.  With ``known_lipschitz`` set to a finite ``K >= 0``, the reported
+    lower bound is the least ``value - K * cover_radius`` over all live
+    rects, which is sound when ``K`` bounds the objective's slope in every
+    factor; otherwise it is the slope estimate gathered along the way,
+    applied to the best rect.
     """
+    K = None if known_lipschitz is None else float(known_lipschitz)
+    if K is not None and not 0.0 <= K < np.inf:
+        raise ValueError(f"known_lipschitz must be finite and >= 0, got {known_lipschitz}")
     budget = budget or BudgetConfig()
     partition = Partition(space.n)
     tracker = SlopeTracker(space)
@@ -190,10 +191,8 @@ def run(
     po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
     iteration, n_po = 0, len(po)
     while True:
-        if known_lipschitz is not None:
-            bound = min(
-                estimate_lower_bound(r, known_lipschitz, space, cover=True) for r in partition
-            )
+        if K is not None:
+            bound = min(r.value - K * cover_radius(r.depths, space) for r in partition)
         else:
             bound = estimate_lower_bound(best, tracker.k_max, space)
         trace.records.append(
@@ -229,10 +228,10 @@ def run(
             rect = partition.rects[rect_id]
             results = {(p.dim, p.sign): next(values) for p in points}
             tracker.observe(rect.value, results, rect.depth_key)
-            divided = partition.divide(rect_id, results)
+            *pairs, center_id = partition.divide(rect_id, results).new_ids
             if rect is best:
-                best = partition.rects[divided.center_id]
-            for child_id in divided.pair_ids.values():
+                best = partition.rects[center_id]
+            for child_id in pairs:
                 child = partition.rects[child_id]
                 if child.value < best.value:
                     best = child

@@ -1,11 +1,12 @@
 """Image file formats: binary PGM/PPM and a plain-text float matrix.
 
 PGM (P5) holds one channel and PPM (P6) three, both binary with maxval 255,
-rows top to bottom; their headers may hold ``#`` comments.  The text format
-keeps full float precision: a header line ``H W C`` followed by
-whitespace-separated values in [0, 1], pixel-major with channels interleaved.
-Quantisation happens only at the PGM/PPM boundary.  Sizes must be positive,
-and every :class:`ImageFormatError` a reader raises names the file.
+rows top to bottom; their headers may hold ``#`` comments, and the extension
+decides which magic a file must hold.  The text format keeps full float
+precision: a header line ``H W C`` followed by whitespace-separated values in
+[0, 1], pixel-major with channels interleaved.  Quantisation happens only at
+the PGM/PPM boundary.  Sizes must be positive, and every
+:class:`ImageFormatError` a reader raises names the file.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def read_image(path) -> np.ndarray:
     if path.endswith(".txt"):
         return _read_text(path)
     if path[-4:] in NETPBM:
-        return _read_netpbm(path)
+        return _read_netpbm(path, *NETPBM[path[-4:]])
     raise ImageFormatError(f"unsupported image extension: {path}")
 
 
@@ -60,16 +61,18 @@ def _write_netpbm(path: str, img: np.ndarray, magic: bytes, channels: int) -> No
         fh.write(data.tobytes())
 
 
-def _read_netpbm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _read_netpbm(path: str, magic: bytes, channels: int) -> np.ndarray:
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ImageFormatError(f"cannot read {path}: {exc}") from exc
     header = _NETPBM_HEADER.match(raw)
     if header is None:
         raise ImageFormatError(f"truncated header in {path}")
-    magic, width, height, maxval = header.groups()
-    channels = {m: c for m, c in NETPBM.values()}.get(magic)
-    if channels is None:
-        raise ImageFormatError(f"unsupported magic {magic!r} in {path}")
+    found, width, height, maxval = header.groups()
+    if found != magic:
+        raise ImageFormatError(f"expected magic {magic!r} for {path[-4:]}, got {found!r} in {path}")
     try:
         w, h, mv = int(width), int(height), int(maxval)
     except ValueError as exc:

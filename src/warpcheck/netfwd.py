@@ -116,13 +116,6 @@ class NetSpec:
 
     layers: list = field(default_factory=list)
 
-    @property
-    def n_classes(self) -> int:
-        for layer in reversed(self.layers):
-            if isinstance(layer, DenseLayer):
-                return layer.weight.shape[0]
-        raise WeightFormatError("network has no dense layer producing logits")
-
 
 def forward(net: NetSpec, batch) -> np.ndarray:
     """Run a batch through the network; returns (B, K) logits."""

@@ -124,11 +124,10 @@ class SamplePoint:
 
 @dataclass
 class DivideResult:
-    """Outcome of one trisection: ids in creation order plus the center id."""
+    """Children of one trisection in creation order: each side pair in division
+    order, lower third first, then the center last."""
 
     new_ids: list[int]
-    pair_ids: dict[tuple[int, int], int] = field(default_factory=dict)
-    center_id: int = -1
 
 
 class Partition:
@@ -188,7 +187,7 @@ class Partition:
         w = {i: min(results[(i, -1)], results[(i, 1)]) for i in dims}
         order = sorted(dims, key=lambda i: (w[i], i))
 
-        out = DivideResult(new_ids=[])
+        new_ids: list[int] = []
         del self.rects[rect_id]
 
         # Split stage by stage: after stage k the center cell is deepened
@@ -197,16 +196,12 @@ class Partition:
         nums, depths = rect.nums, rect.depths
         for dim in order:
             for sign in (-1, 1):
-                child_nums, child_depths = _third(nums, depths, dim, sign)
-                child = self._add(child_nums, child_depths, results[(dim, sign)])
-                out.new_ids.append(child.id)
-                out.pair_ids[(dim, sign)] = child.id
+                child = self._add(*_third(nums, depths, dim, sign), results[(dim, sign)])
+                new_ids.append(child.id)
             nums, depths = _third(nums, depths, dim, 0)
 
-        center = self._add(nums, depths, rect.value)
-        out.new_ids.append(center.id)
-        out.center_id = center.id
-        return out
+        new_ids.append(self._add(nums, depths, rect.value).id)
+        return DivideResult(new_ids)
 
 
 def _third(

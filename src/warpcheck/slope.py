@@ -2,10 +2,10 @@
 
 Slopes are measured in physical parameter units (degrees, scale units,
 pixels), so the resulting bound does not depend on how the box was
-normalised.  The default bound radius is the center-to-sample Manhattan
-radius used by the estimate; ``cover=True`` switches to the full Manhattan
-half-diameter of the rect, which actually covers every point of the
-subspace and turns a user-supplied Lipschitz constant into a sound bound.
+normalised.  The running estimate uses the center-to-sample Manhattan
+radius; :func:`cover_radius` is the full Manhattan half-diameter of the
+rect, which covers every point of the subspace, so a user-supplied
+Lipschitz constant times it gives a sound bound.
 """
 
 from __future__ import annotations
@@ -31,27 +31,15 @@ def cover_radius(depths: Sequence[int], space: ParamSpace) -> float:
 
     Upper-bounds the L1 distance from the center to any point of the
     subspace, unlike :func:`sample_radius` which stops a third of the way
-    to the faces.
+    to the faces: the faces lie at the sample distance of one depth up.
     """
-    return 0.5 * sum(3.0 ** (-d) * float(space.ranges[i]) for i, d in enumerate(depths))
+    return sample_radius([d - 1 for d in depths], space)
 
 
-def estimate_lower_bound(
-    rect: HyperRect,
-    slope_max: float,
-    space: ParamSpace,
-    cover: bool = False,
-) -> float:
-    """Floor under the objective on ``rect``: center value minus slope times radius.
-
-    With ``cover=False`` this is the running estimate driven by observed
-    slopes, applied to the best rect.  With ``cover=True`` and a true
-    Lipschitz constant it is a certificate for every point of ``rect``,
-    so its minimum over the live rects, which tile the box, is a sound
-    bound on the global minimum.
-    """
-    radius = cover_radius(rect.depths, space) if cover else sample_radius(rect.depths, space)
-    return rect.value - slope_max * radius
+def estimate_lower_bound(rect: HyperRect, slope_max: float, space: ParamSpace) -> float:
+    """Running estimate of the floor under the objective on ``rect``: center
+    value minus the observed slope times :func:`sample_radius`."""
+    return rect.value - slope_max * sample_radius(rect.depths, space)
 
 
 class SlopeTracker:

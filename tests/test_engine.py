@@ -287,13 +287,65 @@ class TestGoldenTraces:
         space = domain.param_space()
         digests = [
             _digest(run(MarginObjective(model, image, label, domain), space, budget))
-            for image, label in build_fixture_examples(count=4, seed=7)
+            for image, label in build_fixture_examples(count=56, seed=7)
         ]
         assert digests == [
             "7ed9d569c8103151ebd1ed83b2f20ca73c1f9c52c8ce0bb35b379f66d07bd83e",
             "b7396db55f102ef890b88bd8876bd2825cb46f08c3f75ee3b92a505f3c88cfda",
             "93dcb15b298622ae5dae05dd00dd9b7c71515e1f626f7d61dc6fc8f012289756",
             "cb8eb6c46bca38d56ad28b6e3de379d0ec9d569d30c557511830967ce967d707",
+            "58e15023c0d5f2f4943abde783fef99ef14cea2eb4ee9692a50b85f0fc5660c0",
+            "feac65c37b665d5a1de991f9686155497b93a36806b97e2d4448208c155a0568",
+            "6bcee61f7415a6b6fbca4d3b71364f56ab69ed1a7ac878528510d5c125a0c0e0",
+            "735787c17f2162928d0311722ac0808c943337bc4ee0b3cb39ad44491cd9a71f",
+            "a90da5867aa15dd5e2c860e70daf4ac1c3f46f8c743cc5f71a82e08fa54c52b4",
+            "b1126fdcdc0aba0259ece0b2ca5a4c265a58eb2dba7cffff992b7c852a28e7a3",
+            "4440447b7f3caa85ac362bac57c4c83d3521ec34df747dbb2cb70327d5b86843",
+            "b92b1d4b5dca9bb08c4cfaadcdfdd1ee6d41166a2fc49680a68769a5c50cb65e",
+            "0da3ca8c3af7170ef6ef3ddd7dbb4e73a505023ba166caa426b0376416d278d6",
+            "483a7bce841c833d52ae92b8045c848a9789c751dd2cbee62d03d0abb57bad0c",
+            "5116c9d1d23666a8b0355456c802b292d99affc0e317f6bf0f9b172a2aa6ff77",
+            "d9389413cb80dfe03dabaf935c7bcef2de59983e2eaec5bc69d2993ce2b933f3",
+            "999ba16faedd8a177c120eca82b9366757af999f196d43f6fed1b579a8703ef7",
+            "f249cd4aa82bca26b20bfd2f629805453339b282bf74cf46fe7b8a4c0c7f0d6a",
+            "9ad15e2dd76f7b5203f5ccc1f4a3965c3eab53d7a1f1d59fda232af240cd8d4a",
+            "e6a0f9df91bd67439676142f92e1896255bf6a2c3f6202f553ae17ee851d1499",
+            "5c5238b98e15b16544b57b78f9189d97ace2b17174485f5a86fea549ac7f9f87",
+            "ffaf84f89fa5e3b43c197afa864a1c3a5bee1cd0332e676dc2fae3506ac4b256",
+            "8136e733cf8cf4d27bacbc7a056a8c1b6aea71da1e48e4aa74a158ff5300a9a4",
+            "eb647b312ec5e1987974077e99916569a20b823d190963f35a5fbc3e684dbd01",
+            "f75c96d6b05afb29ca6d9dfe85e14ff336e036cce36ab7e852d8596987bf3205",
+            "49c3cd1457ee5e8c678449fb742dcd0e09910c6e967818cc6c25c8a62359b0ed",
+            "7fa7387e8d97fc72354b2c0824e87aa4a2947f963bccfc13e5afaecf8d6690c8",
+            "af45f2f193ae85cbe93932cd6ac83248f4caa7c27b2243c6658aa7521a926663",
+            "0d7a438a61e868fd9fbd0fd3c2bf5c1196deefa267f0bf1abbca450ed6c74ead",
+            "a00144b4145b8761463811c606930c208135a80b38531ef67efb23324034015e",
+            "062171aadd84a42be6ec476e516082ba44f08526e2bc752976f13c21cd3e111a",
+            "79827d22b51f0c029b68222b4514397245e7681c063743ae4fb356ded34be2ac",
+            "c3aef2fa9ef1b1104d2a551cca57ae26e2f60029612cd13400ca19df1953a739",
+            "9511ff007e2d15770e41b54be7a1a87eb8cb5c592a2bfc2e01d164e342303e70",
+            "155f6ced62e7534bb7c15092855d61eb1b0d93f5ce82048a845aabe386d01066",
+            "d956239e6b3e109f035408150640dcd741690c529a45ac9fd1ecd6ecde49ab2b",
+            "9d3f2360281371235a4048d864de4bbaeda381b5b701dda2c85dacc4a6673e47",
+            "a3bbb95cf2d8405d5918557fe1fb5db2849507e6acdbe8c02c43e0e57d0208b8",
+            "6ae41ba91e4e9ab21eedaa8f5c9a34ea458417c963f18d4406f9f19e94f4e2d3",
+            "310762417b65557e2f2cc39c30355b8ccce218b28a73efd87896b6a3693855e5",
+            "5c98299106905b7cb1940a4e7a32de7870526e23df62c74396f27f8940ccd92e",
+            "6baf5b139ecd467a048c6d0dd85cbbd3b588287de7b56962014c0ba45f1db920",
+            "2b70ca66fa15d66f952f31e4ba9b122e2d0281b088bc97903c7a49ff117a162d",
+            "a4d636e32317888a14e2c0132c9c7d0a8364c4ac72a627b71b4b1a0e3790a34c",
+            "823044f77578764e84fbd51c438c1557520a4997ba88bd38fc84f6ded514d0d5",
+            "675989181becb0cf9af559484897d06a9f4bfba28e114dfba95ecc689bc47fd8",
+            "d82608138f80247f603fdd327b045d618343a448b222e82aa35dbce5b80a0927",
+            "977bb08626ca98439d6ba092342ef9afbfe5561052f11d71a9f6d957523f5932",
+            "b39fc4233729bd18c6bc016328d2b3eec96507ae3cdadd5fc98d5032154abd74",
+            "df02fd43612db8b0f56bfb4ff93ca4bf95f78f6f67929f61127c1a69a1909d82",
+            "1bed0e52249f9068484c5e476e5c926f96fd2097fa65835a5f1301ae7c803101",
+            "55dfcb957524dc1452d9a674bf1a19b9ebacfb00b4ea4b1df0aa56228aea310b",
+            "1af133aa085428a3c9cd3ad732ab0fb0ff8556107064a0997f87d0eb64c5c4d2",
+            "c562a69d385ae2699cb82a3e8a562764e0ed6b005ab6121ddd7e0dfeaf9778d6",
+            "ef3b737f2fcf045ef5b7d4bf9ec7f7eb6e63c3ec6622f5518b4349e7383fd3cd",
+            "3814350bdef7b5a0b67ac6dfd3a44b95dab0de2fe28b85dab52c0bcb120c47e3",
         ]
 
 
@@ -323,3 +375,24 @@ class TestKnownLipschitz:
             if box[0, 0] <= 0.3 <= box[0, 1]:
                 assert record.l_star_min <= fn.min_value
             assert record.l_star_min <= record.l_min
+
+    @pytest.mark.parametrize("K", [-2.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_constant_rejected(self, K):
+        calls = []
+
+        def fn(points):
+            calls.append(len(points))
+            return np.abs(points[:, 0] - 0.3)
+
+        with pytest.raises(ValueError, match="known_lipschitz"):
+            run(fn, ParamSpace([(0.0, 1.0)]), BudgetConfig(max_iters=5), known_lipschitz=K)
+        assert calls == []  # rejected before the first query
+
+    def test_numpy_scalar_constant_traces_as_float(self):
+        fn = make_function("abs1d")
+        budget = BudgetConfig(max_iters=5)
+        traces = [
+            run(fn, fn.param_space(), budget, known_lipschitz=K).to_csv()
+            for K in (np.float64(1.0), 1.0)
+        ]
+        assert traces[0] == traces[1]

@@ -96,6 +96,8 @@ MALFORMED_IMAGES = {
     "bad-magic": ("b.pgm", b"P9\n3 2\n255\n" + _PIXELS),
     "ppm-magic-in-pgm-file": ("p.pgm", b"P3\n3 2\n255\n" + _PIXELS),
     "magic-with-comment-glued": ("g.pgm", b"P5#c\n3 2\n255\n" + _PIXELS),
+    "p6-in-pgm-file": ("q.pgm", b"P6\n1 2\n255\n" + _PIXELS),
+    "p5-in-ppm-file": ("r.ppm", b"P5\n3 2\n255\n" + _PIXELS),
     "non-integer-width": ("w.pgm", b"P5\n3.0 2\n255\n" + _PIXELS),
     "non-integer-height": ("h.ppm", b"P6\n1 two\n255\n" + _PIXELS),
     "size-with-comment-glued": ("s.pgm", b"P5\n3#c\n2\n255\n" + _PIXELS),
@@ -121,6 +123,13 @@ class TestMalformedImages:
         path = tmp_path / name
         path.write_bytes(data)
         with pytest.raises(ImageFormatError) as info:
+            read_image(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name", ["missing.pgm", "missing.ppm", "missing.txt"])
+    def test_missing_file_named(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ImageFormatError, match="cannot read") as info:
             read_image(path)
         assert str(path) in str(info.value)
 

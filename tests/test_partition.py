@@ -118,7 +118,7 @@ class TestDivide:
         assert centers == pytest.approx([1.0 / 6.0, 0.5, 5.0 / 6.0])
         assert all(part.rects[i].depths == (1,) for i in out.new_ids)
         # parent center value carried to the middle child
-        assert part.rects[out.center_id].value == 0.7
+        assert part.rects[out.new_ids[-1]].value == 0.7
 
     def test_two_dim_division_order(self):
         # w_1 = 1.0 < w_2 = 2.0: dim 0 divided first, so the dim-0 pair
@@ -147,7 +147,7 @@ class TestDivide:
         out = _divide_with_values(
             part, 0, {(0, -1): 1.0, (0, 1): 1.0, (1, -1): 1.0, (1, 1): 1.0}
         )
-        pair_rect = part.rects[out.pair_ids[(0, -1)]]
+        pair_rect = part.rects[out.new_ids[0]]  # the first pair's lower third
         assert pair_rect.depths == (1, 0)  # dim 0 split first keeps dim 1 long
 
     def test_best_point_lands_in_largest_child(self):
@@ -155,7 +155,7 @@ class TestDivide:
         part.rects[0].value = 0.0
         values = {(0, -1): 5.0, (0, 1): 6.0, (1, -1): 1.0, (1, 1): 7.0, (2, -1): 3.0, (2, 1): 2.0}
         out = _divide_with_values(part, 0, values)
-        best = part.rects[out.pair_ids[(1, -1)]]  # w_1 = 1.0 is the smallest
+        best = part.rects[out.new_ids[0]]  # w_1 = 1.0 is the smallest, at (1, -1)
         assert len(best.long_dims()) == 2  # m - 1 of the m = 3 divided dims
 
     def test_rejects_missing_and_extra_results(self):

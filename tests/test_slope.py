@@ -64,7 +64,7 @@ class TestEstimateLowerBound:
         rect = HyperRect(id=0, nums=(1, 1), depths=(1, 2), value=0.0)
         space = ParamSpace([(0.0, 4.0), (0.0, 2.0)])
         loose = estimate_lower_bound(rect, 1.0, space)
-        tight = estimate_lower_bound(rect, 1.0, space, cover=True)
+        tight = rect.value - 1.0 * cover_radius(rect.depths, space)
         assert tight < loose
         assert tight == pytest.approx(-0.5 * (4.0 / 3.0 + 2.0 / 9.0))
 
