@@ -155,7 +155,8 @@ class TestDivide:
         part.rects[0].value = 0.0
         values = {(0, -1): 5.0, (0, 1): 6.0, (1, -1): 1.0, (1, 1): 7.0, (2, -1): 3.0, (2, 1): 2.0}
         out = _divide_with_values(part, 0, values)
-        best = part.rects[out.new_ids[0]]  # w_1 = 1.0 is the smallest, at (1, -1)
+        # the (1, -1) sample is the only one valued 1.0, the smallest w_1
+        best = next(part.rects[i] for i in out.new_ids if part.rects[i].value == 1.0)
         assert len(best.long_dims()) == 2  # m - 1 of the m = 3 divided dims
 
     def test_rejects_missing_and_extra_results(self):
