@@ -1,6 +1,6 @@
 """Command-line front end: optimize, verify, and compare subcommands.
 
-Configuration comes from ``key = value`` files with one section per
+Configuration comes from literal ``key = value`` files with one section per
 transformation plus ``[search]``, ``[model]``, ``[data]``, ``[oracle]``
 and ``[output]`` sections.  ``OPTIONS`` maps every flag to its config key,
 type and default, and flags win over the file.  The effective
@@ -97,9 +97,13 @@ class Resolver:
 
     def __init__(self, args: argparse.Namespace, config_path: str | None) -> None:
         self.args = args
-        self.file = configparser.ConfigParser()
+        # values are literal, as the key = value format says: no % interpolation
+        self.file = configparser.ConfigParser(interpolation=None)
         if config_path is not None:
-            read = self.file.read(config_path)
+            try:
+                read = self.file.read(config_path)
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{config_path}: {exc}") from None
             if not read:
                 raise ConfigError(f"cannot read config file {config_path}")
             # a key of another subcommand is known, so one file serves all three;

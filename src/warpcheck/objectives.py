@@ -66,8 +66,9 @@ class TransformDomain:
         translate: tuple[float, float] = (0.0, 0.0),
     ) -> "TransformDomain":
         """Symmetric ranges: rotation within +-r degrees, scale within
-        1 +- s, translation within +-t pixels per axis.  Zero-width
-        factors are dropped from the search."""
+        1 +- s (``s < 1``, so every scale factor stays positive),
+        translation within +-t pixels per axis.  Zero-width factors are
+        dropped from the search."""
         radii = dict(zip(FACTORS, map(float, (rotation, scale, translate[0], translate[1]))))
         factors = tuple(f for f in FACTORS if radii[f] != 0.0)
         bounds = []
@@ -75,6 +76,8 @@ class TransformDomain:
             radius, center = radii[f], getattr(IDENTITY, f)
             if not 0.0 < radius < math.inf:
                 raise ValueError(f"range radius must be positive and finite, got {radius}")
+            if f == "scale" and radius >= 1.0:
+                raise ValueError(f"scale radius must be below 1, got {radius}")
             bounds.append((center - radius, center + radius))
         return cls(factors, tuple(bounds))
 

@@ -73,14 +73,19 @@ def _center_array(nums, depths) -> np.ndarray:
     return np.array([num / (2 * 3**d) for num, d in zip(nums, depths)])
 
 
+def group_size(depth: int) -> float:
+    """Half a side of trisection depth ``depth``; for a rect's ``depth_key``,
+    the size of its group (L-infinity measure)."""
+    return 0.5 * 3.0 ** (-depth)
+
+
 @dataclass
 class HyperRect:
     """One subspace of the unit cube.
 
     ``nums``/``depths`` encode the exact center; ``value`` is the objective
     at the center.  ``depth_key`` is the least trisection depth, which names
-    the rect's size group; :func:`warpcheck.selection.group_size` gives the
-    group's size.
+    the rect's size group; :func:`group_size` gives the group's size.
     """
 
     id: int
@@ -105,7 +110,7 @@ class HyperRect:
     def box(self) -> np.ndarray:
         """Unit-cube bounds, shape (n, 2)."""
         c = self.center()
-        half = np.array([0.5 * 3.0**-d for d in self.depths])
+        half = np.array([group_size(d) for d in self.depths])
         return np.stack([c - half, c + half], axis=1)
 
 

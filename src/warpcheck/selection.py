@@ -3,17 +3,19 @@
 The functions here read only ``id``, ``depth_key`` and ``value``, so they
 run unchanged on the live rects of a partition (:class:`HyperRect`) or on
 synthetic ``RectStat`` records in tests.  Sizes are grouped by the minimum
-trisection depth; group ``k`` has size ``group_size(k) = 0.5 * 3**-k``,
-and no other function computes a size.  The depth cap lives here as
-well: :func:`select_po` never picks a rect at ``max_depth``, so every rect
-it returns has sample points.
+trisection depth; group ``k`` has size ``group_size(k) = 0.5 * 3**-k``
+(from :mod:`warpcheck.partition`).  The depth cap lives here as well:
+:func:`select_po` never picks a rect at ``max_depth``, so every rect it
+returns has sample points.
 
-Within a size group the score :func:`optimal_score` never rises as the
-center value rises (the slope toward larger rects falls, the slope toward
-smaller rects rises, and float rounding keeps both monotone).  So the
-``alpha`` best-scoring rects of a group are its ``alpha`` lowest center
-values, cut at the first non-positive score; selection walks at most
-``alpha`` rects per group and never scores the rest.
+A rect is potentially optimal when some Lipschitz constant makes it the
+most promising of its size.  :func:`slope_bracket` gives those constants
+as one interval; :func:`optimal_score` is its width.  Within a size group
+the score never rises as the center value rises (the slope toward larger
+rects falls, the slope toward smaller rects rises, and float rounding
+keeps both monotone).  So the ``alpha`` best-scoring rects of a group are
+its ``alpha`` lowest center values, cut at the first non-positive score;
+selection brackets at most ``alpha`` rects per group, never the rest.
 
 Selection conventions (empty-set cases):
   * the minimum slope over an empty larger-size set is ``+inf``;
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .partition import HyperRect
+from .partition import HyperRect, group_size
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,6 @@ class RectStat:
 
 
 Rect = HyperRect | RectStat
-
-
-def group_size(depth_key: int) -> float:
-    """Half the longest side of a rect in group ``depth_key`` (L-infinity measure)."""
-    return 0.5 * 3.0 ** (-depth_key)
 
 
 def group_by_size(stats: Iterable[Rect]) -> dict[int, list[Rect]]:
@@ -63,32 +60,27 @@ def group_minima(groups: Mapping[int, Sequence[Rect]]) -> dict[int, float]:
     return {k: members[0].value for k, members in groups.items()}
 
 
-def larger_slope(stat: Rect, minima: Mapping[int, float]) -> float:
-    """min over strictly larger groups of (value_q - value_p)/(size_q - size_p).
+def slope_bracket(stat: Rect, minima: Mapping[int, float]) -> tuple[float, float]:
+    """Admissible local-slope constants for ``stat``, as ``(lower, upper)``.
 
-    For a fixed larger group the minimising rect is the one with the least
-    center value, so only group minima are needed.  Empty set -> +inf.
+    ``upper`` is the least slope ``(value_q - value_p)/(size_q - size_p)``
+    toward a strictly larger group, ``+inf`` when there is none; ``lower``
+    is the greatest slope from a strictly smaller group, floored at 0.  For
+    a fixed group the extreme slope comes from its least center value, so
+    only group minima are needed.
     """
     size = group_size(stat.depth_key)
-    best = math.inf
+    lower, upper = 0.0, math.inf
     for key, vmin in minima.items():
         if key < stat.depth_key:
             slope = (vmin - stat.value) / (group_size(key) - size)
-            if slope < best:
-                best = slope
-    return best
-
-
-def smaller_slope(stat: Rect, minima: Mapping[int, float]) -> float:
-    """max over strictly smaller groups, floored at 0."""
-    size = group_size(stat.depth_key)
-    best = 0.0
-    for key, vmin in minima.items():
-        if key > stat.depth_key:
+            if slope < upper:
+                upper = slope
+        elif key > stat.depth_key:
             slope = (stat.value - vmin) / (size - group_size(key))
-            if slope > best:
-                best = slope
-    return best
+            if slope > lower:
+                lower = slope
+    return lower, upper
 
 
 def optimal_score(stat: Rect, minima: Mapping[int, float]) -> float:
@@ -97,23 +89,17 @@ def optimal_score(stat: Rect, minima: Mapping[int, float]) -> float:
     Positive means some slope constant makes this rect the most promising
     of its size; rects in the largest group score ``+inf``.
     """
-    return larger_slope(stat, minima) - smaller_slope(stat, minima)
+    lower, upper = slope_bracket(stat, minima)
+    return upper - lower
 
 
-def sufficient_descent(
-    stat: Rect,
-    l_min: float,
-    tau: float,
-    minima: Mapping[int, float],
-) -> bool:
+def sufficient_descent(stat: Rect, l_min: float, tau: float, upper: float) -> bool:
     """Whether dividing ``stat`` can improve ``l_min`` by more than ``tau``.
 
-    Uses the least slope toward larger rects as the admissible-constant
-    upper bound; with no larger rects the potential improvement is
-    unbounded and the test passes.
+    ``upper`` is the upper end of the rect's :func:`slope_bracket`; with no
+    larger rects it is ``+inf`` and the test passes.
     """
     size = group_size(stat.depth_key)
-    upper = larger_slope(stat, minima)
     if l_min != 0.0:
         return tau <= (l_min - stat.value) / abs(l_min) + size * upper / abs(l_min)
     return stat.value <= size * upper
@@ -143,8 +129,9 @@ def select_po(
         if key >= max_depth:
             continue
         for rect in group[:alpha]:
-            if optimal_score(rect, minima) <= 0.0:
+            lower, upper = slope_bracket(rect, minima)
+            if upper - lower <= 0.0:
                 break
-            if sufficient_descent(rect, l_min, tau, minima):
+            if sufficient_descent(rect, l_min, tau, upper):
                 selected.append(rect.id)
     return selected

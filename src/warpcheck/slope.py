@@ -2,9 +2,10 @@
 
 Slopes are measured in physical parameter units (degrees, scale units,
 pixels), so the resulting bound does not depend on how the box was
-normalised.  The running estimate uses the center-to-sample Manhattan
-radius; :func:`cover_radius` is the full Manhattan half-diameter of the
-rect, which covers every point of the subspace, so a user-supplied
+normalised.  Each division folds its slopes into the one running maximum
+of :class:`SlopeTracker`.  The running estimate uses the center-to-sample
+Manhattan radius; :func:`cover_radius` is the full Manhattan half-diameter
+of the rect, which covers every point of the subspace, so a user-supplied
 Lipschitz constant times it gives a sound bound.
 """
 
@@ -58,20 +59,16 @@ class SlopeTracker:
         center_value: float,
         samples: Mapping[tuple[int, int], float],
         depth: int,
-    ) -> float:
-        """Record slopes from one division and return the center's local slope.
+    ) -> None:
+        """Fold the slopes of one division into :attr:`k_max`.
 
         ``samples`` maps ``(dim, sign)`` to the value at the matching sample
-        point; the local slope is the largest ``|center - sample| / distance``
-        in physical units.
+        point; each slope is ``|center - sample| / distance`` in physical
+        units.
         """
-        k_c = 0.0
         for (dim, _), value in samples.items():
             slope = abs(center_value - value) / sample_distance(depth, dim, self.space)
-            if slope > k_c:
-                k_c = slope
-        if k_c > self.k_max:
-            self.k_max = k_c
+            if slope > self.k_max:
+                self.k_max = slope
         if not math.isfinite(self.k_max):
             raise ValueError("non-finite slope observed")
-        return k_c

@@ -380,6 +380,7 @@ class TestOutOfRangeValues:
         "infinite-tau": ("verify", "tau", "inf", "[search]\ntau = inf\n"),
         "nan-rotation": ("verify", "rotation", "nan", "[rotation]\nrange = nan\n"),
         "infinite-scale": ("verify", "scale", "inf", "[scale]\nrange = inf\n"),
+        "scale-one": ("verify", "scale", "1", "[scale]\nrange = 1\n"),
         "nan-translate": ("verify", "translate", "nan,1", "[translate]\nrange = nan,1\n"),
         # 39**4 grid points on the 4-factor box exceed the grid cap
         "oracle-grid-cap": ("compare", "oracle_grid", "39", "[oracle]\ngrid = 39\n"),
@@ -463,6 +464,38 @@ class TestUnknownConfigKeys:
         assert main(argv) == 0
         header, payload = read_summary(tmp_path / "out" / "summary.txt")
         assert "# search.max_iters = 2" in header and payload["iterations"] == 2
+
+
+class TestFaultyConfigFiles:
+    """A config file that does not parse is a config error (exit 2) naming the
+    file; values are literal, so a % in one is never interpolated."""
+
+    CASES = {
+        "no-section-header": b"max_iters = 3\n",
+        "duplicate-key": b"[search]\nmax_iters = 3\nmax_iters = 4\n",
+        "no-equals": b"[search]\nmax_iters 3\n",
+        "not-utf8": b"[search]\nmax_iters = \xff\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_naming_the_file(self, case, tmp_path, capsys):
+        cfg = tmp_path / "faulty.cfg"
+        cfg.write_bytes(self.CASES[case])
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["optimize", "--fn", "abs1d", "--bounds", "0,1", "--config", str(cfg),
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["out%x", "run-%(name)s"])
+    def test_percent_is_literal(self, name, tmp_path):
+        cfg = tmp_path / "literal.cfg"
+        cfg.write_text("[DEFAULT]\nname = abs1d\n[function]\nbounds = 0,1\n"
+                       f"[search]\nmax_iters = 2\n[output]\ndir = {tmp_path / name}\n")
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        assert (tmp_path / name / "summary.txt").exists()
 
 
 class TestOptionTable:

@@ -66,6 +66,13 @@ class TestTransformDomain:
         with pytest.raises(ValueError, match="finite"):
             TransformDomain.from_ranges(**ranges)
 
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_scale_radius_of_one_or_more_rejected(self, scale):
+        # 1 - scale <= 0 would query zero or negative scale factors
+        with pytest.raises(ValueError, match="below 1"):
+            TransformDomain.from_ranges(scale=scale)
+        assert TransformDomain.from_ranges(scale=0.5).bounds == ((0.5, 1.5),)
+
     @pytest.mark.parametrize("factors, bounds", [
         (("shear",), ((0.0, 1.0),)),
         (("scale", "rotation"), ((0.9, 1.1), (-5.0, 5.0))),

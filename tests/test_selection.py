@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import lemma_po_oracle, select_po_reference
+from oracles import _ref_larger_slope, _ref_smaller_slope, lemma_po_oracle, select_po_reference
 from warpcheck.partition import Partition, sample_points
 from warpcheck.selection import (
     RectStat,
@@ -12,6 +12,7 @@ from warpcheck.selection import (
     group_size,
     optimal_score,
     select_po,
+    slope_bracket,
     sufficient_descent,
 )
 
@@ -43,6 +44,21 @@ class TestOptimalScore:
         stats = [RectStat(0, 0, 5.0), RectStat(1, 1, 3.0), RectStat(2, 2, 2.0)]
         # upper = (5-3)/(1/2-1/6) = 6; lower = (3-2)/(1/6-1/18) = 9
         assert optimal_score(stats[1], _minima(stats)) == pytest.approx(6.0 - 9.0)
+
+
+class TestSlopeBracket:
+    def test_matches_both_reference_slopes_on_every_rect(self):
+        # values rounded to one decimal so group minima and slopes tie
+        rng = np.random.default_rng(18)
+        for trial in range(300):
+            stats = [
+                RectStat(i, int(rng.integers(0, 5)), float(np.round(rng.normal(), 1)))
+                for i in range(int(rng.integers(1, 21)))
+            ]
+            minima = _minima(stats)
+            for s in stats:
+                want = (_ref_smaller_slope(s, minima), _ref_larger_slope(s, minima))
+                assert slope_bracket(s, minima) == want, f"trial {trial}, rect {s.id}"
 
 
 class TestAlphaCandidates:
@@ -82,7 +98,8 @@ class TestAlphaCandidates:
 class TestSufficientDescent:
     def test_largest_rect_always_passes(self):
         stats = [RectStat(0, 0, 7.0), RectStat(1, 1, 8.0)]
-        assert sufficient_descent(stats[0], l_min=7.0, tau=1e-4, minima=_minima(stats))
+        upper = slope_bracket(stats[0], _minima(stats))[1]
+        assert sufficient_descent(stats[0], l_min=7.0, tau=1e-4, upper=upper)
 
     def test_first_branch_accepts(self):
         # l_min = -1, value = -1, size 1/6, larger-group slope 6:
@@ -90,18 +107,21 @@ class TestSufficientDescent:
         stats = [RectStat(0, 0, 1.0), RectStat(1, 1, -1.0)]
         minima = _minima(stats)
         # larger slope for rect 1: (1 - (-1)) / (1/2 - 1/6) = 6
-        assert sufficient_descent(stats[1], l_min=-1.0, tau=1e-4, minima=minima)
+        upper = slope_bracket(stats[1], minima)[1]
+        assert sufficient_descent(stats[1], l_min=-1.0, tau=1e-4, upper=upper)
 
     def test_zero_l_min_branch_rejects(self):
         # value 0.2, size 1/6, slope term 0.6: 0.2 > 0.1
         stat = RectStat(1, 1, 0.2)
         larger = RectStat(0, 0, 0.2 + 0.6 * (group_size(0) - group_size(1)))
         minima = _minima([larger, stat])
-        assert not sufficient_descent(stat, l_min=0.0, tau=1e-4, minima=minima)
+        upper = slope_bracket(stat, minima)[1]
+        assert not sufficient_descent(stat, l_min=0.0, tau=1e-4, upper=upper)
 
     def test_zero_l_min_branch_accepts_negative_value(self):
         stats = [RectStat(0, 0, 0.5), RectStat(1, 1, -0.1)]
-        assert sufficient_descent(stats[1], l_min=0.0, tau=1e-4, minima=_minima(stats))
+        upper = slope_bracket(stats[1], _minima(stats))[1]
+        assert sufficient_descent(stats[1], l_min=0.0, tau=1e-4, upper=upper)
 
 
 class TestSelectPo:
