@@ -15,6 +15,7 @@ from .engine import (
     BudgetConfig,
     ObjectiveError,
     RunTrace,
+    Search,
     VerificationResult,
     run,
     verify,
@@ -62,6 +63,7 @@ __all__ = [
     "PartitionError",
     "RectStat",
     "RunTrace",
+    "Search",
     "SearchResult",
     "ShapeError",
     "SlopeTracker",

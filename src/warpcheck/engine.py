@@ -1,14 +1,13 @@
-"""Search driver: iteration loop, batch query contract, stop criteria, trace.
+"""Search driver: the search iteration, batch query contract, stop criteria, trace.
 
-One iteration gathers the sample points of every potentially-optimal rect,
-evaluates them in a single batch call, divides those rects, updates slope
-estimates and the running best, then selects the next potentially-optimal
-set.  Each pass of the loop first appends its :class:`IterationRecord`
-(iteration 0 holds the first query alone) and then checks the stop
-criteria: the run stops when the iteration cap is reached, the query budget
-is exhausted (checked before launching a batch, so one batch may
-overshoot), or every rect is at the depth cap, so selection returns
-nothing.
+:meth:`Search.step` runs one iteration.  Iteration 0 queries the unit-cube
+center alone; each later one gathers the sample points of the rects the
+last one selected, evaluates them in one batch call, divides those rects
+and updates the slope estimates and the running best.  Every iteration then
+selects the next rects and appends its :class:`IterationRecord`.  The search
+stops after an iteration when selection returned nothing (every rect is at
+the depth cap), the iteration cap is reached or the query budget is spent,
+so one batch may overshoot it.  :func:`run` steps a search until it stops.
 
 No point is ever queried twice, so no evaluation cache is kept: a sample
 point lies strictly inside its rect and off its center, while every point
@@ -18,7 +17,6 @@ tracked as the live rect centered there.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -106,12 +104,9 @@ class RunTrace:
         return self.final.queries
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# {TRACE_VERSION}\n")
-        buf.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in self.records:
-            buf.write(",".join(repr(getattr(r, name)) for name in TRACE_COLUMNS) + "\n")
-        return buf.getvalue()
+        lines = [f"# {TRACE_VERSION}", ",".join(TRACE_COLUMNS)]
+        lines += [",".join(repr(getattr(r, name)) for name in TRACE_COLUMNS) for r in self.records]
+        return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -130,10 +125,7 @@ class RunTrace:
 
 
 class ObjectiveError(ValueError):
-    """A batch objective raised or broke its contract.  ``trace`` is the
-    partial trace, marked ``objective-error``, when :func:`run` made the call."""
-
-    trace: RunTrace | None = None
+    """A batch objective raised or broke its contract."""
 
 
 def evaluate(objective: Objective, points: np.ndarray) -> np.ndarray:
@@ -152,93 +144,99 @@ def evaluate(objective: Objective, points: np.ndarray) -> np.ndarray:
     return values
 
 
+class Search:
+    """One anytime minimisation of a batch objective over the physical box.
+
+    ``objective`` maps a ``(B, n)`` array of physical points to ``B`` values,
+    order preserving.  With ``known_lipschitz`` a finite ``K >= 0`` (checked
+    before any query), the lower bound is the least ``value - K *
+    cover_radius`` over the live rects, sound when ``K`` bounds the slope in
+    every factor; otherwise it is the slope estimate applied to the best rect.
+    """
+
+    def __init__(
+        self,
+        objective: Objective,
+        space: ParamSpace,
+        budget: BudgetConfig | None = None,
+        known_lipschitz: float | None = None,
+    ) -> None:
+        K = None if known_lipschitz is None else float(known_lipschitz)
+        if K is not None and not 0.0 <= K < np.inf:
+            raise ValueError(f"known_lipschitz must be finite and >= 0, got {known_lipschitz}")
+        self.objective, self.space, self.K = objective, space, K
+        self.budget = budget or BudgetConfig()
+        self.partition, self.tracker = Partition(space.n), SlopeTracker(space)
+        self.best = self.partition.rects[0]
+        self.po: list[int] = []  # the rects the next iteration divides
+        self.queries = 0
+        self.trace = RunTrace()
+
+    def step(self) -> IterationRecord | None:
+        """Run one iteration and return its record, or ``None`` once stopped:
+        ``trace.stop_reason`` is set with the last record or an objective error."""
+        trace, budget, space = self.trace, self.budget, self.space
+        if trace.stop_reason != "unknown":
+            return None
+        # select_po skips every rect at the depth cap, so each has sample points;
+        # with none selected yet (iteration 0), the root's center is the one query
+        plan = [(rect_id, sample_points(self.partition.rects[rect_id])) for rect_id in self.po]
+        unit = np.array([p.center() for _, points in plan for p in points] or [self.best.center()])
+        try:
+            values = iter(evaluate(self.objective, space.to_physical(unit)).tolist())
+        except ObjectiveError:
+            trace.stop_reason = "objective-error"
+            raise
+        self.queries += len(unit)
+        if not plan:
+            self.best.value = next(values)
+        for rect_id, points in plan:
+            rect = self.partition.rects[rect_id]
+            results = {(p.dim, p.sign): next(values) for p in points}
+            self.tracker.observe(rect.value, results, rect.depth_key)
+            *pairs, center_id = self.partition.divide(rect_id, results).new_ids
+            if rect is self.best:
+                self.best = self.partition.rects[center_id]
+            children = [self.partition.rects[child_id] for child_id in pairs]
+            self.best = min([self.best, *children], key=lambda r: r.value)
+
+        best, iteration = self.best, len(trace.records)
+        self.po = select_po(self.partition, budget.alpha, budget.tau, best.value, budget.depth)
+        if self.K is not None:
+            bound = min(r.value - self.K * cover_radius(r.depths, space) for r in self.partition)
+        else:
+            bound = estimate_lower_bound(best, self.tracker.k_max, space)
+        record = IterationRecord(
+            iteration=iteration,
+            queries=self.queries,
+            l_min=best.value,
+            l_star_min=bound,
+            k_hat_max=self.tracker.k_max,
+            n_po=len(plan) or len(self.po),  # iteration 0: the first selection
+            c_min=space.to_physical(best.center()),
+            optimal_box=space.to_physical(best.box().T).T,
+        )
+        trace.records.append(record)
+        if not self.po:
+            trace.stop_reason = "exhausted"
+        elif iteration >= budget.max_iters:
+            trace.stop_reason = "iterations"
+        elif self.queries >= budget.max_queries:
+            trace.stop_reason = "queries"
+        return record
+
+
 def run(
     objective: Objective,
     space: ParamSpace,
     budget: BudgetConfig | None = None,
     known_lipschitz: float | None = None,
 ) -> RunTrace:
-    """Minimise a batch objective over the physical box.
-
-    ``objective`` receives an ``(B, n)`` array of physical points and must
-    return one value per point, order preserving.  The unit-cube center
-    (the identity transformation for symmetric bounds) is always the first
-    query.  With ``known_lipschitz`` set to a finite ``K >= 0``, the reported
-    lower bound is the least ``value - K * cover_radius`` over all live
-    rects, which is sound when ``K`` bounds the objective's slope in every
-    factor; otherwise it is the slope estimate gathered along the way,
-    applied to the best rect.
-    """
-    K = None if known_lipschitz is None else float(known_lipschitz)
-    if K is not None and not 0.0 <= K < np.inf:
-        raise ValueError(f"known_lipschitz must be finite and >= 0, got {known_lipschitz}")
-    budget = budget or BudgetConfig()
-    partition = Partition(space.n)
-    tracker = SlopeTracker(space)
-    trace = RunTrace()
-
-    def ask(unit: np.ndarray) -> np.ndarray:
-        try:
-            return evaluate(objective, space.to_physical(unit))
-        except ObjectiveError as exc:
-            trace.stop_reason, exc.trace = "objective-error", trace
-            raise
-
-    best = partition.rects[0]
-    best.value = float(ask(best.center()[None])[0])
-    queries = 1
-
-    po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
-    iteration, n_po = 0, len(po)
-    while True:
-        if K is not None:
-            bound = min(r.value - K * cover_radius(r.depths, space) for r in partition)
-        else:
-            bound = estimate_lower_bound(best, tracker.k_max, space)
-        trace.records.append(
-            IterationRecord(
-                iteration=iteration,
-                queries=queries,
-                l_min=best.value,
-                l_star_min=bound,
-                k_hat_max=tracker.k_max,
-                n_po=n_po,
-                c_min=space.to_physical(best.center()),
-                optimal_box=space.to_physical(best.box().T).T,
-            )
-        )
-        if not po:
-            trace.stop_reason = "exhausted"
-            break
-        if iteration >= budget.max_iters:
-            trace.stop_reason = "iterations"
-            break
-        if queries >= budget.max_queries:
-            trace.stop_reason = "queries"
-            break
-        iteration, n_po = iteration + 1, len(po)
-
-        # select_po skips every rect at the depth cap, so each has sample points
-        plan = [(rect_id, sample_points(partition.rects[rect_id])) for rect_id in po]
-        unit = np.array([p.center() for _, points in plan for p in points])
-        values = iter(ask(unit).tolist())
-        queries += len(unit)
-
-        for rect_id, points in plan:
-            rect = partition.rects[rect_id]
-            results = {(p.dim, p.sign): next(values) for p in points}
-            tracker.observe(rect.value, results, rect.depth_key)
-            *pairs, center_id = partition.divide(rect_id, results).new_ids
-            if rect is best:
-                best = partition.rects[center_id]
-            for child_id in pairs:
-                child = partition.rects[child_id]
-                if child.value < best.value:
-                    best = child
-
-        po = select_po(partition, budget.alpha, budget.tau, best.value, budget.depth)
-
-    return trace
+    """Run a :class:`Search` until it stops and return its trace."""
+    search = Search(objective, space, budget, known_lipschitz)
+    while search.step():
+        pass
+    return search.trace
 
 
 FALSIFIED = "falsified"

@@ -65,10 +65,10 @@ class TransformDomain:
         scale: float = 0.0,
         translate: tuple[float, float] = (0.0, 0.0),
     ) -> "TransformDomain":
-        """Symmetric ranges: rotation within +-r degrees, scale within
-        1 +- s (``s < 1``, so every scale factor stays positive),
-        translation within +-t pixels per axis.  Zero-width factors are
-        dropped from the search."""
+        """Symmetric ranges: rotation within +-r degrees (``r <= 180``, so no
+        angle is searched twice), scale within 1 +- s (``s < 1``, so every
+        scale factor stays positive), translation within +-t pixels per
+        axis.  Zero-width factors are dropped from the search."""
         radii = dict(zip(FACTORS, map(float, (rotation, scale, translate[0], translate[1]))))
         factors = tuple(f for f in FACTORS if radii[f] != 0.0)
         bounds = []
@@ -78,6 +78,8 @@ class TransformDomain:
                 raise ValueError(f"range radius must be positive and finite, got {radius}")
             if f == "scale" and radius >= 1.0:
                 raise ValueError(f"scale radius must be below 1, got {radius}")
+            if f == "rotation" and radius > 180.0:
+                raise ValueError(f"rotation radius must be at most 180 degrees, got {radius}")
             bounds.append((center - radius, center + radius))
         return cls(factors, tuple(bounds))
 

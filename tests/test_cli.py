@@ -381,6 +381,7 @@ class TestOutOfRangeValues:
         "nan-rotation": ("verify", "rotation", "nan", "[rotation]\nrange = nan\n"),
         "infinite-scale": ("verify", "scale", "inf", "[scale]\nrange = inf\n"),
         "scale-one": ("verify", "scale", "1", "[scale]\nrange = 1\n"),
+        "rotation-over-180": ("verify", "rotation", "181", "[rotation]\nrange = 181\n"),
         "nan-translate": ("verify", "translate", "nan,1", "[translate]\nrange = nan,1\n"),
         # 39**4 grid points on the 4-factor box exceed the grid cap
         "oracle-grid-cap": ("compare", "oracle_grid", "39", "[oracle]\ngrid = 39\n"),

@@ -10,6 +10,7 @@ from warpcheck.engine import (
     VERIFIED_ESTIMATE,
     BudgetConfig,
     ObjectiveError,
+    Search,
     run,
     verify,
 )
@@ -30,6 +31,13 @@ def counting(fn):
         return fn(pts)
 
     return wrapped, calls
+
+
+def step_out(search):
+    """Step ``search`` until it stops, as ``run`` does, and return its trace."""
+    while search.step():
+        pass
+    return search.trace
 
 
 class TestRunBasics:
@@ -122,9 +130,10 @@ class TestRunBasics:
             out[pts[:, 0] < 0.1] = np.nan
             return out
 
-        with pytest.raises(ObjectiveError) as info:
-            run(fn, UNIT1, BudgetConfig(max_iters=50, max_queries=5000, depth=6))
-        trace = info.value.trace
+        search = Search(fn, UNIT1, BudgetConfig(max_iters=50, max_queries=5000, depth=6))
+        with pytest.raises(ObjectiveError):
+            step_out(search)
+        trace = search.trace
         assert trace.stop_reason == "objective-error"
         assert len(trace.records) >= 1
 
@@ -167,11 +176,6 @@ class TestObjectiveContract:
     """The search and both baselines call an objective through one function, so
     a broken objective raises the same ObjectiveError from each of them."""
 
-    METHODS = {
-        "run": lambda fn: run(fn, UNIT1, BudgetConfig(max_iters=3)),
-        "grid": lambda fn: grid_search(fn, UNIT1, 5),
-        "random": lambda fn: random_pick(fn, UNIT1, 7, seed=0),
-    }
     BROKEN = {
         "raises": lambda pts: 1 / 0,
         "shape": lambda pts: np.zeros((len(pts), 2)),
@@ -179,12 +183,19 @@ class TestObjectiveContract:
     }
 
     @pytest.mark.parametrize("kind", sorted(BROKEN))
-    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("method", ["grid", "random", "run"])
     def test_same_error_from_every_method(self, method, kind):
         sizes = []
         fn = lambda pts: (sizes.append(len(pts)), self.BROKEN[kind](pts))[1]
+        # "run" steps a Search as run does, keeping it to read the partial trace
+        search = Search(fn, UNIT1, BudgetConfig(max_iters=3))
+        call = {
+            "run": lambda: step_out(search),
+            "grid": lambda: grid_search(fn, UNIT1, 5),
+            "random": lambda: random_pick(fn, UNIT1, 7, seed=0),
+        }[method]
         with pytest.raises(ObjectiveError) as info:
-            self.METHODS[method](fn)
+            call()
         n = sizes[-1]
         assert str(info.value) == {
             "raises": "objective raised: division by zero",
@@ -192,10 +203,87 @@ class TestObjectiveContract:
             "nan": "objective returned a non-finite value",
         }[kind]
         assert isinstance(info.value, ValueError)
+        assert not hasattr(info.value, "trace")
         if method == "run":
-            assert info.value.trace.stop_reason == "objective-error"
-        else:
-            assert info.value.trace is None
+            assert search.trace.stop_reason == "objective-error"
+
+
+class TestSearchStepper:
+    def test_stepped_trace_matches_run_on_multi_basin(self):
+        fn = make_function("multi-basin")
+        budget = BudgetConfig(max_iters=30, max_queries=3000, depth=6, alpha=2)
+        search = Search(fn, fn.param_space(), budget)
+        records = []
+        while (record := search.step()) is not None:
+            records.append(record)
+        assert len(records) == len(search.trace.records)
+        assert all(a is b for a, b in zip(records, search.trace.records))
+        expected = run(fn, fn.param_space(), budget)
+        assert search.trace.to_csv() == expected.to_csv()
+        assert search.trace.stop_reason == expected.stop_reason
+
+    def test_stepped_trace_matches_run_with_known_constant_on_fixture(self):
+        model, domain = fixture_model(), fixture_domain()
+        image, label = build_fixture_examples(count=1, seed=7)[0]
+        objective = MarginObjective(model, image, label, domain)
+        budget = BudgetConfig(max_iters=40, max_queries=3000, depth=6, alpha=2)
+        # any K >= 0 takes the bound over every live rect in place of the estimate
+        space, K = domain.param_space(), 0.05
+        trace = step_out(Search(objective, space, budget, known_lipschitz=K))
+        expected = run(objective, space, budget, known_lipschitz=K)
+        assert trace.to_csv() == expected.to_csv()
+        assert trace.stop_reason == expected.stop_reason
+
+    def test_constructor_makes_no_query_and_first_step_is_identity_alone(self):
+        fn, calls = counting(lambda pts: np.abs(pts[:, 0] - 0.3))
+        search = Search(fn, UNIT1, BudgetConfig(max_iters=5, depth=3))
+        assert calls == {"batches": 0, "points": 0}
+        record = search.step()
+        assert calls == {"batches": 1, "points": 1}
+        assert (record.iteration, record.queries) == (0, 1)
+        assert search.trace.records == [record]
+
+    def test_no_query_after_stop(self):
+        fn, calls = counting(lambda pts: np.abs(pts[:, 0] - 0.3))
+        search = Search(fn, UNIT1, BudgetConfig(max_iters=4, max_queries=1000, depth=5))
+        step_out(search)
+        assert search.trace.stop_reason == "iterations"
+        seen, csv = dict(calls), search.trace.to_csv()
+        assert [search.step() for _ in range(3)] == [None, None, None]
+        assert calls == seen
+        assert search.trace.to_csv() == csv
+
+    def test_no_query_after_objective_error(self):
+        def fn(pts):
+            calls.append(len(pts))
+            out = np.abs(pts[:, 0] - 0.3)
+            out[pts[:, 0] < 0.1] = np.nan
+            return out
+
+        calls = []
+        search = Search(fn, UNIT1, BudgetConfig(max_iters=50, max_queries=5000, depth=6))
+        with pytest.raises(ObjectiveError):
+            step_out(search)
+        n_calls, n_records = len(calls), len(search.trace.records)
+        assert search.step() is None
+        assert search.step() is None
+        assert (len(calls), len(search.trace.records)) == (n_calls, n_records)
+        assert search.trace.stop_reason == "objective-error"
+
+    def test_error_on_first_query_leaves_empty_trace(self):
+        calls = []
+
+        def fn(pts):
+            calls.append(len(pts))
+            return np.full(len(pts), np.nan)
+
+        search = Search(fn, UNIT1, BudgetConfig())
+        with pytest.raises(ObjectiveError, match="non-finite"):
+            search.step()
+        assert search.trace.records == []
+        assert search.trace.stop_reason == "objective-error"
+        assert search.step() is None
+        assert calls == [1]
 
 
 class TestCoverage:

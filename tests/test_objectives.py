@@ -73,6 +73,13 @@ class TestTransformDomain:
             TransformDomain.from_ranges(scale=scale)
         assert TransformDomain.from_ranges(scale=0.5).bounds == ((0.5, 1.5),)
 
+    @pytest.mark.parametrize("rotation", [180.5, 181.0, 400.0])
+    def test_rotation_radius_above_180_rejected(self, rotation):
+        # a wider box would search some angles two or three times over
+        with pytest.raises(ValueError, match="at most 180"):
+            TransformDomain.from_ranges(rotation=rotation)
+        assert TransformDomain.from_ranges(rotation=180.0).bounds == ((-180.0, 180.0),)
+
     @pytest.mark.parametrize("factors, bounds", [
         (("shear",), ((0.0, 1.0),)),
         (("scale", "rotation"), ((0.9, 1.1), (-5.0, 5.0))),
