@@ -13,11 +13,18 @@ identity of their own: a sample point lies strictly inside its rect and off
 its center, so it is never a point evaluated before, and once evaluated it
 is the center of exactly one live rect.  Callers track a point by the id of
 the rect centered there.
+
+The partition also keeps its size groups: the live rects of each depth key
+in ``(value, id)`` order, which is all selection needs.  A division removes
+the parent from its group and inserts each child into its own, at O(group
+size) per rect, so no caller ever regroups or re-sorts the live set.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -69,6 +76,10 @@ class ParamSpace:
         return f"ParamSpace({list(self.bounds)!r})"
 
 
+# a rect's place in its size group
+_rank = operator.attrgetter("value", "id")
+
+
 def _center_array(nums, depths) -> np.ndarray:
     return np.array([num / (2 * 3**d) for num, d in zip(nums, depths)])
 
@@ -86,6 +97,10 @@ class HyperRect:
     ``nums``/``depths`` encode the exact center; ``value`` is the objective
     at the center.  ``depth_key`` is the least trisection depth, which names
     the rect's size group; :func:`group_size` gives the group's size.
+
+    ``value`` is fixed once set, since a :class:`Partition` ranks the rect
+    in its group by ``(value, id)``.  The one exception is the root's first
+    write: the root is alone in its group, so no order can break.
     """
 
     id: int
@@ -139,13 +154,19 @@ class Partition:
     """The live set of hyperrectangles tiling the unit cube.
 
     Mutation is single-writer.  Division replaces the parent with ``2m + 1``
-    children where ``m`` is the number of longest sides.
+    children where ``m`` is the number of longest sides.  ``groups`` maps
+    each depth key in use to its live rects in ``(value, id)`` order; a key
+    goes once its group is empty.  So a rect's ``value`` is fixed once set,
+    but for the lone root's first write.  :meth:`divide` finds the parent by
+    its rank and raises when that rank does not lead to it or its
+    neighbours are out of order.
     """
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise PartitionError("partition needs at least one dimension")
         self.rects: dict[int, HyperRect] = {}
+        self.groups: dict[int, list[HyperRect]] = {}
         self._next_id = 0
         self._add((1,) * n, (0,) * n)
 
@@ -155,6 +176,7 @@ class Partition:
         rect = HyperRect(self._next_id, nums, depths, value)
         self._next_id += 1
         self.rects[rect.id] = rect
+        bisect.insort(self.groups.setdefault(rect.depth_key, []), rect, key=_rank)
         return rect
 
     def __len__(self) -> int:
@@ -188,12 +210,26 @@ class Partition:
         for k, v in results.items():
             if not math.isfinite(v):
                 raise PartitionError(f"non-finite query result {v} at {k}")
+        # the center child inherits the value and ranks by it in its group
+        if not math.isfinite(rect.value):
+            raise PartitionError(f"rect {rect_id} has non-finite value {rect.value}")
+
+        group = self.groups[rect.depth_key]
+        at = bisect.bisect_left(group, _rank(rect), key=_rank)
+        ranks = [_rank(r) for r in group[max(at - 1, 0) : at + 2]]
+        if group[at : at + 1] != [rect] or ranks != sorted(ranks):
+            raise PartitionError(
+                f"rect {rect_id} is out of (value, id) order in size group "
+                f"{rect.depth_key}: its value changed after it joined the group"
+            )
 
         w = {i: min(results[(i, -1)], results[(i, 1)]) for i in dims}
         order = sorted(dims, key=lambda i: (w[i], i))
 
         new_ids: list[int] = []
-        del self.rects[rect_id]
+        del self.rects[rect_id], group[at]
+        if not group:
+            del self.groups[rect.depth_key]
 
         # Split stage by stage: after stage k the center cell is deepened
         # along the first k dims; the stage-k side pair keeps the remaining

@@ -4,7 +4,10 @@ The functions here read only ``id``, ``depth_key`` and ``value``, so they
 run unchanged on the live rects of a partition (:class:`HyperRect`) or on
 synthetic ``RectStat`` records in tests.  Sizes are grouped by the minimum
 trisection depth; group ``k`` has size ``group_size(k) = 0.5 * 3**-k``
-(from :mod:`warpcheck.partition`).  The depth cap lives here as well:
+(from :mod:`warpcheck.partition`).  A :class:`Partition` keeps its groups
+sorted as it divides, so selecting from one reads those groups as they
+stand; any other iterable of rects is grouped once per call by
+:func:`group_by_size`.  The depth cap lives here as well:
 :func:`select_po` never picks a rect at ``max_depth``, so every rect it
 returns has sample points.
 
@@ -15,7 +18,8 @@ the score never rises as the center value rises (the slope toward larger
 rects falls, the slope toward smaller rects rises, and float rounding
 keeps both monotone).  So the ``alpha`` best-scoring rects of a group are
 its ``alpha`` lowest center values, cut at the first non-positive score;
-selection brackets at most ``alpha`` rects per group, never the rest.
+selection brackets at most ``alpha`` rects per group, never the rest, and
+reads one minimum per group.
 
 Selection conventions (empty-set cases):
   * the minimum slope over an empty larger-size set is ``+inf``;
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .partition import HyperRect, group_size
+from .partition import HyperRect, Partition, group_size
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ def group_by_size(stats: Iterable[Rect]) -> dict[int, list[Rect]]:
 
 
 def group_minima(groups: Mapping[int, Sequence[Rect]]) -> dict[int, float]:
-    """Least center value per group, from :func:`group_by_size` output."""
+    """Least center value per group, from groups ordered like
+    :func:`group_by_size` output."""
     return {k: members[0].value for k, members in groups.items()}
 
 
@@ -122,10 +127,10 @@ def select_po(
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    groups = group_by_size(stats)
+    groups = stats.groups if isinstance(stats, Partition) else group_by_size(stats)
     minima = group_minima(groups)
     selected: list[int] = []
-    for key, group in groups.items():
+    for key, group in sorted(groups.items()):
         if key >= max_depth:
             continue
         for rect in group[:alpha]:

@@ -17,7 +17,9 @@ from warpcheck.engine import (
 from fixtures import build_fixture_examples, fixture_domain, fixture_model
 from warpcheck.objectives import MarginObjective, make_multi_basin
 from warpcheck.objectives import test_function as make_function
+from warpcheck import selection
 from warpcheck.partition import ParamSpace
+from test_partition import assert_size_groups
 
 UNIT1 = ParamSpace([(0.0, 1.0)])
 
@@ -284,6 +286,26 @@ class TestSearchStepper:
         assert search.trace.stop_reason == "objective-error"
         assert search.step() is None
         assert calls == [1]
+
+
+class TestSizeGroups:
+    def test_partition_groups_hold_after_every_step(self):
+        fn = make_multi_basin(5)
+        budget = BudgetConfig(max_iters=30, max_queries=3000, depth=5, alpha=2)
+        search = Search(fn, fn.param_space(), budget)
+        while search.step():
+            assert_size_groups(search.partition)
+        assert len(search.partition.groups) > 2
+
+    def test_engine_never_regroups_the_partition(self, monkeypatch):
+        def regroup(stats):
+            raise AssertionError("selection regrouped the live rects")
+
+        monkeypatch.setattr(selection, "group_by_size", regroup)
+        fn = make_function("multi-basin")
+        trace = run(fn, fn.param_space(), BudgetConfig(max_iters=20, max_queries=3000))
+        assert trace.stop_reason == "iterations"
+        assert all(r.n_po > 0 for r in trace.records)
 
 
 class TestCoverage:

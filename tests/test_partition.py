@@ -11,7 +11,7 @@ from warpcheck.partition import (
     PartitionError,
     sample_points,
 )
-from warpcheck.selection import group_size
+from warpcheck.selection import group_by_size, group_size
 
 
 class TestParamSpace:
@@ -176,6 +176,26 @@ class TestDivide:
         with pytest.raises(PartitionError):
             part.divide(0, {(0, -1): math.nan, (0, 1): 1.0})
 
+    def test_rejects_unset_parent_value(self):
+        part = Partition(1)
+        with pytest.raises(PartitionError, match="rect 0 has non-finite value nan"):
+            part.divide(0, {(0, -1): 1.0, (0, 1): 2.0})
+        assert list(part.rects) == [0] and list(part.groups) == [0]
+
+    @pytest.mark.parametrize("child", [2, 0])
+    def test_rewritten_value_out_of_order_raises(self, child):
+        part = Partition(1)
+        part.rects[0].value = 0.0
+        out = _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
+        # group 1 in (value, id) order: center 0.0, lower 1.0, upper 2.0.  At
+        # 3.0 the center is no longer where bisection looks; the lower third
+        # is, but now ranks above the upper third next to it.
+        rect = part.rects[out.new_ids[child]]
+        rect.value = 3.0
+        with pytest.raises(PartitionError, match=f"rect {rect.id} is out of"):
+            _divide_with_values(part, rect.id, {(0, -1): 1.0, (0, 1): 2.0})
+        assert len(part) == 3 and rect.id in part.rects
+
     def test_divided_rect_not_live(self):
         part = Partition(1)
         part.rects[0].value = 0.0
@@ -243,3 +263,43 @@ class TestPartitionInvariants:
         assert len(centers) == len(set(centers))
         for r, exact in zip(part, centers):
             assert r.center().tolist() == [float(c) for c in exact]
+
+
+def assert_size_groups(part):
+    """``part.groups`` holds exactly the live rects, by identity, in the keys
+    and (value, id) order that :func:`group_by_size` gives them."""
+    grouped = [r for group in part.groups.values() for r in group]
+    assert sorted(map(id, grouped)) == sorted(map(id, part))
+    for key, group in part.groups.items():
+        assert all(r.depth_key == key for r in group)
+        ranks = [(r.value, r.id) for r in group]
+        assert ranks == sorted(ranks)
+    want = group_by_size(part)
+    assert sorted(part.groups) == list(want)
+    assert {k: [r.id for r in g] for k, g in part.groups.items()} == {
+        k: [r.id for r in g] for k, g in want.items()
+    }
+
+
+class TestSizeGroups:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_groups_track_random_divisions_with_ties(self, n):
+        rng = np.random.default_rng(40 + n)
+        part = Partition(n)
+        part.rects[0].value = float(np.round(rng.normal(), 1))
+        assert_size_groups(part)
+        for _ in range(80):
+            rect = part.rects[int(rng.choice(list(part.rects)))]
+            results = {(p.dim, p.sign): float(np.round(rng.normal(), 1))
+                       for p in sample_points(rect)}
+            part.divide(rect.id, results)
+            assert_size_groups(part)
+            if all(r.depth_key != rect.depth_key for r in part):
+                assert rect.depth_key not in part.groups
+
+    def test_one_dim_division_empties_the_parent_group(self):
+        part = Partition(1)
+        part.rects[0].value = 0.0
+        _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
+        assert list(part.groups) == [1]
+        assert [r.id for r in part.groups[1]] == [3, 1, 2]

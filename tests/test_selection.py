@@ -238,3 +238,7 @@ class TestMatchesScoreEveryRectReference:
             l_min = 0.0 if trial % 4 == 0 else min(r.value for r in part)
             want = select_po_reference(list(part), alpha, 1e-4, l_min, max_depth)
             assert select_po(part, alpha, 1e-4, l_min, max_depth) == want, f"trial {trial}"
+            # the partition's own groups, and the same rects regrouped per call
+            stats = [RectStat(r.id, r.depth_key, r.value) for r in part]
+            for other in (list(part), stats):
+                assert select_po(other, alpha, 1e-4, l_min, max_depth) == want, f"trial {trial}"
