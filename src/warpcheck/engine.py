@@ -11,8 +11,9 @@ so one batch may overshoot it.  :func:`run` steps a search until it stops.
 
 No point is ever queried twice, so no evaluation cache is kept: a sample
 point lies strictly inside its rect and off its center, while every point
-queried so far is the center of exactly one live rect.  The best point is
-tracked as the live rect centered there.
+queried so far is the center of exactly one live rect.  Depths up to 33
+(:class:`BudgetConfig`) keep distinct points distinct as doubles.  The
+best point is tracked as the live rect centered there.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class BudgetConfig:
     max_iters: division iterations allowed (T).
     max_queries: objective evaluations allowed (Q); a batch in flight may
         overshoot.
-    depth: maximum trisections per dimension (D); caps the smallest
-        subspace side at ``3**-depth``.
+    depth: maximum trisections per dimension (D), 1 to 33; caps the
+        smallest subspace side at ``3**-depth``.
     alpha: candidates kept per size group each iteration.
     tau: minimum relative improvement demanded of a candidate.
     """
@@ -58,6 +59,12 @@ class BudgetConfig:
             raise ValueError("max_queries must be at least 1")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
+        # Up to depth 33 every center is an odd multiple of 1/(2 * 3**33), so
+        # distinct centers lie at least 3**-33 ~ 1.9e-16 apart, above the
+        # spacing of doubles below 1 (2**-53); deeper, distinct sample points
+        # round to one double and a point would be queried twice.
+        if self.depth > 33:
+            raise ValueError("depth must be at most 33")
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
         if not 0 < self.tau < np.inf:
@@ -174,31 +181,33 @@ class Search:
 
     def step(self) -> IterationRecord | None:
         """Run one iteration and return its record, or ``None`` once stopped:
-        ``trace.stop_reason`` is set with the last record or an objective error."""
+        ``trace.stop_reason`` is set with the last record, or to
+        ``objective-error`` when the iteration raises from its query on."""
         trace, budget, space = self.trace, self.budget, self.space
         if trace.stop_reason != "unknown":
             return None
         # select_po skips every rect at the depth cap, so each has sample points;
         # with none selected yet (iteration 0), the root's center is the one query
         plan = [(rect_id, sample_points(self.partition.rects[rect_id])) for rect_id in self.po]
-        unit = np.array([p.center() for _, points in plan for p in points] or [self.best.center()])
+        unit = np.array([u for _, points in plan for u in points.values()] or [self.best.center()])
         try:
             values = iter(evaluate(self.objective, space.to_physical(unit)).tolist())
-        except ObjectiveError:
+            self.queries += len(unit)
+            if not plan:
+                self.best.value = next(values)
+            for rect_id, points in plan:
+                rect = self.partition.rects[rect_id]
+                results = {key: next(values) for key in points}
+                self.tracker.observe(rect.value, results, rect.depth_key)
+                *pairs, center_id = self.partition.divide(rect_id, results)
+                if rect is self.best:
+                    self.best = self.partition.rects[center_id]
+                children = [self.partition.rects[child_id] for child_id in pairs]
+                self.best = min([self.best, *children], key=lambda r: r.value)
+        except Exception:
+            # the values are spent or the partition half divided: never resume
             trace.stop_reason = "objective-error"
             raise
-        self.queries += len(unit)
-        if not plan:
-            self.best.value = next(values)
-        for rect_id, points in plan:
-            rect = self.partition.rects[rect_id]
-            results = {(p.dim, p.sign): next(values) for p in points}
-            self.tracker.observe(rect.value, results, rect.depth_key)
-            *pairs, center_id = self.partition.divide(rect_id, results).new_ids
-            if rect is self.best:
-                self.best = self.partition.rects[center_id]
-            children = [self.partition.rects[child_id] for child_id in pairs]
-            self.best = min([self.best, *children], key=lambda r: r.value)
 
         best, iteration = self.best, len(trace.records)
         self.po = select_po(self.partition, budget.alpha, budget.tau, best.value, budget.depth)

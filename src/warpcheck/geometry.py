@@ -134,8 +134,7 @@ def _axes(height: int, width: int):
 
 
 def _source_coords(matrices: np.ndarray, height: int, width: int):
-    """Source rows and cols (B, H, W) for each output pixel, and the axes
-    ``xs`` (W,) and ``ys`` (H, 1) they are formed from.
+    """Source rows and cols (B, H, W) for each output pixel.
 
     Each product is taken on its (B, 1, W) or (B, H, 1) factor and only the
     sum is full size, which gives the bits of full-size products.
@@ -148,7 +147,7 @@ def _source_coords(matrices: np.ndarray, height: int, width: int):
     src_y = a[..., 1, 0] * xs + a[..., 1, 1] * ys
     src_y += a[..., 1, 2]
     src_y += cy
-    return src_y, src_x, xs, ys
+    return src_y, src_x
 
 
 def _pad(image: np.ndarray) -> np.ndarray:
@@ -213,7 +212,7 @@ def _warp_into(padded: np.ndarray, matrices: np.ndarray, out: np.ndarray) -> Non
     before the next chunk allocates its own.
     """
     h, w = out.shape[1:3]
-    rows, cols, _, _ = _source_coords(matrices, h, w)
+    rows, cols = _source_coords(matrices, h, w)
     fr, fc, (_, v01, v10, v11) = _corners(padded, rows, cols, out=out)
     gr = 1.0 - fr
     gc = 1.0 - fc
@@ -270,7 +269,7 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     """
     img = validate_image(image)
     h, w, _ = img.shape
-    rows, cols, _, _ = _source_coords(_checked_matrices(matrix, 2)[None], h, w)
+    rows, cols = _source_coords(_checked_matrices(matrix, 2)[None], h, w)
     fr, fc, (v00, v01, v10, v11) = _corners(_pad(img), rows[0], cols[0])
 
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)

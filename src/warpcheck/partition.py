@@ -8,8 +8,11 @@ Centers and side lengths are kept in exact integer form: along dimension
 ``i`` a rectangle has trisection depth ``d_i`` (side length ``3**-d_i``)
 and its center coordinate is ``num_i / (2 * 3**d_i)`` with ``num_i`` odd.
 This makes size grouping and volume accounting exact, so no floating-point
-tolerances are ever needed for the partition itself.  Points need no
-identity of their own: a sample point lies strictly inside its rect and off
+tolerances are ever needed for the partition itself.  A division is plain
+data: :func:`sample_points` maps each ``(dim, sign)`` to a sample point's
+unit coordinates, :meth:`Partition.divide` takes the same keys mapped to
+the observed values and returns the children's ids.  Points need no
+identity beyond that: a sample point lies strictly inside its rect and off
 its center, so it is never a point evaluated before, and once evaluated it
 is the center of exactly one live rect.  Callers track a point by the id of
 the rect centered there.
@@ -77,11 +80,12 @@ class ParamSpace:
 
 
 # a rect's place in its size group
-_rank = operator.attrgetter("value", "id")
+rank = operator.attrgetter("value", "id")
 
 
-def _center_array(nums, depths) -> np.ndarray:
-    return np.array([num / (2 * 3**d) for num, d in zip(nums, depths)])
+def _center(nums: tuple[int, ...], depths: tuple[int, ...]) -> tuple[float, ...]:
+    """The center ``num / (2 * 3**d)`` per axis, each coordinate correctly rounded."""
+    return tuple(num / (2 * 3**d) for num, d in zip(nums, depths))
 
 
 def group_size(depth: int) -> float:
@@ -113,7 +117,7 @@ class HyperRect:
         self.depth_key = min(self.depths)
 
     def center(self) -> np.ndarray:
-        return _center_array(self.nums, self.depths)
+        return np.array(_center(self.nums, self.depths))
 
     def long_dims(self) -> list[int]:
         d = self.depth_key
@@ -127,27 +131,6 @@ class HyperRect:
         c = self.center()
         half = np.array([group_size(d) for d in self.depths])
         return np.stack([c - half, c + half], axis=1)
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """A point ``c +/- 3**-(d+1) e_dim`` queued for evaluation."""
-
-    dim: int
-    sign: int
-    nums: tuple[int, ...]
-    depths: tuple[int, ...]
-
-    def center(self) -> np.ndarray:
-        return _center_array(self.nums, self.depths)
-
-
-@dataclass
-class DivideResult:
-    """Children of one trisection in creation order: each side pair in division
-    order, lower third first, then the center last."""
-
-    new_ids: list[int]
 
 
 class Partition:
@@ -176,7 +159,7 @@ class Partition:
         rect = HyperRect(self._next_id, nums, depths, value)
         self._next_id += 1
         self.rects[rect.id] = rect
-        bisect.insort(self.groups.setdefault(rect.depth_key, []), rect, key=_rank)
+        bisect.insort(self.groups.setdefault(rect.depth_key, []), rect, key=rank)
         return rect
 
     def __len__(self) -> int:
@@ -188,14 +171,16 @@ class Partition:
     def total_volume(self) -> Fraction:
         return sum((r.volume() for r in self.rects.values()), Fraction(0))
 
-    def divide(self, rect_id: int, results: Mapping[tuple[int, int], float]) -> DivideResult:
-        """Trisect a rect along all of its longest sides.
+    def divide(self, rect_id: int, results: Mapping[tuple[int, int], float]) -> list[int]:
+        """Trisect a rect along all of its longest sides; return the new ids.
 
-        ``results`` maps ``(dim, sign)`` to the objective value observed at
-        the matching :func:`sample_points` point.  Dimensions are divided
+        ``results`` maps each :func:`sample_points` key ``(dim, sign)`` to
+        the objective value observed at that point.  Dimensions are divided
         in ascending order of ``w_i = min(value at +, value at -)`` (ties
         broken by lower dimension index), so the best query point ends up
-        at the center of one of the two largest children.
+        at the center of one of the two largest children.  The ids come in
+        creation order: each side pair in division order, lower third
+        first, then the center last.
         """
         rect = self.rects.get(rect_id)
         if rect is None:
@@ -215,8 +200,8 @@ class Partition:
             raise PartitionError(f"rect {rect_id} has non-finite value {rect.value}")
 
         group = self.groups[rect.depth_key]
-        at = bisect.bisect_left(group, _rank(rect), key=_rank)
-        ranks = [_rank(r) for r in group[max(at - 1, 0) : at + 2]]
+        at = bisect.bisect_left(group, rank(rect), key=rank)
+        ranks = [rank(r) for r in group[max(at - 1, 0) : at + 2]]
         if group[at : at + 1] != [rect] or ranks != sorted(ranks):
             raise PartitionError(
                 f"rect {rect_id} is out of (value, id) order in size group "
@@ -242,7 +227,7 @@ class Partition:
             nums, depths = _third(nums, depths, dim, 0)
 
         new_ids.append(self._add(nums, depths, rect.value).id)
-        return DivideResult(new_ids)
+        return new_ids
 
 
 def _third(
@@ -256,15 +241,17 @@ def _third(
     return tuple(nums), tuple(depths)
 
 
-def sample_points(rect: HyperRect) -> list[SamplePoint]:
+def sample_points(rect: HyperRect) -> dict[tuple[int, int], tuple[float, ...]]:
     """Points ``c +/- 3**-(d+1) e_i`` for every longest side of ``rect``.
 
-    Short sides are ignored.  The depth cap is not checked here: selection
-    never picks a rect whose longest side is already at the cap.
+    Maps ``(dim, sign)`` to the point's unit coordinates, long dims
+    ascending and ``-1`` before ``+1``; :meth:`Partition.divide` takes the
+    same keys.  Short sides are ignored.  The depth cap is not checked
+    here: selection never picks a rect whose longest side is already at
+    the cap.
     """
-    points = []
-    for dim in rect.long_dims():
-        for sign in (-1, 1):
-            nums, depths = _third(rect.nums, rect.depths, dim, sign)
-            points.append(SamplePoint(dim, sign, nums, depths))
-    return points
+    return {
+        (dim, sign): _center(*_third(rect.nums, rect.depths, dim, sign))
+        for dim in rect.long_dims()
+        for sign in (-1, 1)
+    }

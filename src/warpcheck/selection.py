@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .partition import HyperRect, Partition, group_size
+from .partition import HyperRect, Partition, group_size, rank
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def group_by_size(stats: Iterable[Rect]) -> dict[int, list[Rect]]:
     groups: dict[int, list[Rect]] = {}
     for s in stats:
         groups.setdefault(s.depth_key, []).append(s)
-    return {k: sorted(groups[k], key=lambda s: (s.value, s.id)) for k in sorted(groups)}
+    return {k: sorted(groups[k], key=rank) for k in sorted(groups)}
 
 
 def group_minima(groups: Mapping[int, Sequence[Rect]]) -> dict[int, float]:

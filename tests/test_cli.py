@@ -370,6 +370,7 @@ class TestOutOfRangeValues:
         "no-range": ("verify", "rotation", "0", "[rotation]\nrange = 0\n"),
         "negative-rotation": ("verify", "rotation", "-5", "[rotation]\nrange = -5\n"),
         "depth": ("verify", "depth", "0", "[search]\ndepth = 0\n"),
+        "depth-34": ("verify", "depth", "34", "[search]\ndepth = 34\n"),
         "bounds": ("optimize", "bounds", "1,0", "[function]\nbounds = 1,0\n"),
         "oracle-grid": ("compare", "oracle_grid", "1", "[oracle]\ngrid = 1\n"),
         "oracle-random": ("compare", "oracle_random", "0", "[oracle]\nrandom = 0\n"),

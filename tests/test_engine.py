@@ -149,6 +149,8 @@ class TestRunBasics:
             BudgetConfig(max_iters=0)
         with pytest.raises(ValueError):
             BudgetConfig(depth=0)
+        with pytest.raises(ValueError, match="depth must be at most 33"):
+            BudgetConfig(depth=34)
         with pytest.raises(ValueError):
             BudgetConfig(tau=0.0)
         with pytest.raises(ValueError):
@@ -272,6 +274,22 @@ class TestSearchStepper:
         assert (len(calls), len(search.trace.records)) == (n_calls, n_records)
         assert search.trace.stop_reason == "objective-error"
 
+    def test_no_query_after_a_raise_past_the_query(self):
+        # finite values 2e308 apart: the slope overflows and observe raises
+        calls = []
+
+        def fn(pts):
+            calls.append(len(pts))
+            return np.where(pts[:, 0] < 0.5, -1e308, 1e308)
+
+        search = Search(fn, UNIT1, BudgetConfig())
+        search.step()
+        with pytest.raises(ValueError, match="non-finite slope observed"):
+            search.step()
+        assert search.trace.stop_reason == "objective-error"
+        assert search.step() is None
+        assert calls == [1, 2]
+
     def test_error_on_first_query_leaves_empty_trace(self):
         calls = []
 
@@ -306,6 +324,42 @@ class TestSizeGroups:
         trace = run(fn, fn.param_space(), BudgetConfig(max_iters=20, max_queries=3000))
         assert trace.stop_reason == "iterations"
         assert all(r.n_po > 0 for r in trace.records)
+
+
+def recording(fn):
+    """``fn`` with every point it is asked for appended to a list."""
+    seen = []
+
+    def wrapped(pts):
+        seen.extend(map(tuple, pts.tolist()))
+        return fn(pts)
+
+    return wrapped, seen
+
+
+class TestNoRepeatedQuery:
+    """No point is queried twice, which is why the engine keeps no cache.  On
+    a unit box ``to_physical`` is exact, so the recorded points are the unit
+    points themselves."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_multi_basin_runs(self, alpha):
+        for seed in range(4):
+            fn = make_multi_basin(seed)
+            wrapped, seen = recording(fn)
+            budget = BudgetConfig(max_iters=60, max_queries=3000, depth=8, alpha=alpha)
+            trace = run(wrapped, fn.param_space(), budget)
+            assert len(seen) == trace.queries
+            assert len(set(seen)) == len(seen), f"seed {seed}"
+
+    def test_dive_to_depth_33(self):
+        wrapped, seen = recording(lambda pts: np.abs(pts[:, 0] - 0.7))
+        search = Search(wrapped, UNIT1, BudgetConfig(max_iters=100, max_queries=10**5,
+                                                      depth=33, alpha=1))
+        trace = step_out(search)
+        assert max(r.depths[0] for r in search.partition) == 33
+        assert len(seen) == trace.queries
+        assert len(set(seen)) == len(seen)
 
 
 class TestCoverage:

@@ -49,7 +49,7 @@ def kink_free(image, params, margin=5e-3):
 
     img = validate_image(image)
     h, w, _ = img.shape
-    rows, cols, _, _ = _source_coords(build_matrix(params)[None], h, w)
+    rows, cols = _source_coords(build_matrix(params)[None], h, w)
     frac_r = np.abs(rows - np.round(rows))
     frac_c = np.abs(cols - np.round(cols))
     return float(min(frac_r.min(), frac_c.min())) > margin

@@ -69,14 +69,14 @@ class TestSamplePoints:
     def test_fresh_unit_interval(self):
         part = Partition(1)
         points = sample_points(part.rects[0])
-        coords = sorted(p.center()[0] for p in points)
+        coords = sorted(u[0] for u in points.values())
         assert coords == pytest.approx([1.0 / 6.0, 5.0 / 6.0])
 
     def test_fresh_unit_square(self):
         part = Partition(2)
         points = sample_points(part.rects[0])
         assert len(points) == 4
-        coords = {tuple(np.round(p.center(), 12)) for p in points}
+        coords = {tuple(np.round(u, 12)) for u in points.values()}
         third = round(1.0 / 3.0, 12)
         assert coords == {
             (round(0.5 - third, 12), 0.5),
@@ -89,22 +89,29 @@ class TestSamplePoints:
         # depths (1, 0), center (1/6, 1/2): dim 1 is the long side
         rect = HyperRect(id=0, nums=(1, 1), depths=(1, 0))
         points = sample_points(rect)
-        assert [p.dim for p in points] == [1, 1]
-        coords = sorted(tuple(p.center()) for p in points)
+        assert [dim for dim, _ in points] == [1, 1]
+        coords = sorted(points.values())
         assert coords[0] == pytest.approx((1.0 / 6.0, 1.0 / 2.0 - 1.0 / 3.0))
         assert coords[1] == pytest.approx((1.0 / 6.0, 1.0 / 2.0 + 1.0 / 3.0))
 
+    def test_keys_in_order_and_coordinates_exact(self):
+        # depths (1, 0, 0), center (1/6, 1/2, 1/2): dims 1 and 2 are long
+        rect = HyperRect(id=0, nums=(1, 1, 1), depths=(1, 0, 0))
+        points = sample_points(rect)
+        assert list(points) == [(1, -1), (1, 1), (2, -1), (2, 1)]
+        assert points[(1, -1)] == (1 / 6, 1 / 6, 1 / 2)
+        assert points[(1, 1)] == (1 / 6, 5 / 6, 1 / 2)
+        assert points[(2, -1)] == (1 / 6, 1 / 2, 1 / 6)
+        assert points[(2, 1)] == (1 / 6, 1 / 2, 5 / 6)
+
     def test_points_stay_inside_unit_cube(self):
         rect = HyperRect(id=0, nums=(1, 5), depths=(2, 1))
-        for p in sample_points(rect):
-            assert np.all(p.center() > 0.0) and np.all(p.center() < 1.0)
+        for u in sample_points(rect).values():
+            assert all(0.0 < c < 1.0 for c in u)
 
 
 def _divide_with_values(part, rect_id, values):
-    rect = part.rects[rect_id]
-    results = {}
-    for p in sample_points(rect):
-        results[(p.dim, p.sign)] = values[(p.dim, p.sign)]
+    results = {key: values[key] for key in sample_points(part.rects[rect_id])}
     return part.divide(rect_id, results)
 
 
@@ -112,25 +119,25 @@ class TestDivide:
     def test_one_dim_trisection(self):
         part = Partition(1)
         part.rects[0].value = 0.7
-        out = _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
-        assert len(out.new_ids) == 3
-        centers = sorted(part.rects[i].center()[0] for i in out.new_ids)
+        new_ids = _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
+        assert len(new_ids) == 3
+        centers = sorted(part.rects[i].center()[0] for i in new_ids)
         assert centers == pytest.approx([1.0 / 6.0, 0.5, 5.0 / 6.0])
-        assert all(part.rects[i].depths == (1,) for i in out.new_ids)
+        assert all(part.rects[i].depths == (1,) for i in new_ids)
         # parent center value carried to the middle child
-        assert part.rects[out.new_ids[-1]].value == 0.7
+        assert part.rects[new_ids[-1]].value == 0.7
 
     def test_two_dim_division_order(self):
         # w_1 = 1.0 < w_2 = 2.0: dim 0 divided first, so the dim-0 pair
         # keeps a long side while dim-1 children are unit/9 squares
         part = Partition(2)
         part.rects[0].value = 0.0
-        out = _divide_with_values(
+        new_ids = _divide_with_values(
             part, 0, {(0, -1): 1.0, (0, 1): 3.0, (1, -1): 2.0, (1, 1): 4.0}
         )
-        assert len(out.new_ids) == 5
+        assert len(new_ids) == 5
         by_center = {tuple(np.round(part.rects[i].center(), 12)): part.rects[i]
-                     for i in out.new_ids}
+                     for i in new_ids}
         sixth, half, third = round(1 / 6, 12), 0.5, round(1 / 3, 12)
         assert by_center[(sixth, half)].depths == (1, 0)
         assert by_center[(round(5 / 6, 12), half)].depths == (1, 0)
@@ -144,19 +151,19 @@ class TestDivide:
     def test_tie_breaks_to_lower_dimension(self):
         part = Partition(2)
         part.rects[0].value = 0.0
-        out = _divide_with_values(
+        new_ids = _divide_with_values(
             part, 0, {(0, -1): 1.0, (0, 1): 1.0, (1, -1): 1.0, (1, 1): 1.0}
         )
-        pair_rect = part.rects[out.new_ids[0]]  # the first pair's lower third
+        pair_rect = part.rects[new_ids[0]]  # the first pair's lower third
         assert pair_rect.depths == (1, 0)  # dim 0 split first keeps dim 1 long
 
     def test_best_point_lands_in_largest_child(self):
         part = Partition(3)
         part.rects[0].value = 0.0
         values = {(0, -1): 5.0, (0, 1): 6.0, (1, -1): 1.0, (1, 1): 7.0, (2, -1): 3.0, (2, 1): 2.0}
-        out = _divide_with_values(part, 0, values)
+        new_ids = _divide_with_values(part, 0, values)
         # the (1, -1) sample is the only one valued 1.0, the smallest w_1
-        best = next(part.rects[i] for i in out.new_ids if part.rects[i].value == 1.0)
+        best = next(part.rects[i] for i in new_ids if part.rects[i].value == 1.0)
         assert len(best.long_dims()) == 2  # m - 1 of the m = 3 divided dims
 
     def test_rejects_missing_and_extra_results(self):
@@ -186,11 +193,11 @@ class TestDivide:
     def test_rewritten_value_out_of_order_raises(self, child):
         part = Partition(1)
         part.rects[0].value = 0.0
-        out = _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
+        new_ids = _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
         # group 1 in (value, id) order: center 0.0, lower 1.0, upper 2.0.  At
         # 3.0 the center is no longer where bisection looks; the lower third
         # is, but now ranks above the upper third next to it.
-        rect = part.rects[out.new_ids[child]]
+        rect = part.rects[new_ids[child]]
         rect.value = 3.0
         with pytest.raises(PartitionError, match=f"rect {rect.id} is out of"):
             _divide_with_values(part, rect.id, {(0, -1): 1.0, (0, 1): 2.0})
@@ -220,11 +227,11 @@ def _random_division_walk(n, divisions, seed, max_depth=None):
         rect_id = int(rng.choice(candidates))
         rect = part.rects[rect_id]
         points = sample_points(rect)
-        results = {(p.dim, p.sign): float(rng.normal()) for p in points}
+        results = {key: float(rng.normal()) for key in points}
         m = len(rect.long_dims())
         before = len(part)
-        out = part.divide(rect_id, results)
-        assert len(out.new_ids) == 2 * m + 1
+        new_ids = part.divide(rect_id, results)
+        assert len(new_ids) == 2 * m + 1
         assert len(part) == before + 2 * m
     return part
 
@@ -290,8 +297,7 @@ class TestSizeGroups:
         assert_size_groups(part)
         for _ in range(80):
             rect = part.rects[int(rng.choice(list(part.rects)))]
-            results = {(p.dim, p.sign): float(np.round(rng.normal(), 1))
-                       for p in sample_points(rect)}
+            results = {key: float(np.round(rng.normal(), 1)) for key in sample_points(rect)}
             part.divide(rect.id, results)
             assert_size_groups(part)
             if all(r.depth_key != rect.depth_key for r in part):

@@ -193,7 +193,7 @@ class TestLemmaOracleAgreement:
                 live = list(part.rects)
                 rect = part.rects[int(rng.choice(live))]
                 points = sample_points(rect)
-                results = {(p.dim, p.sign): float(rng.normal()) for p in points}
+                results = {key: float(rng.normal()) for key in points}
                 part.divide(rect.id, results)
             stats = list(part)
             l_min = min(s.value for s in stats)
@@ -206,8 +206,8 @@ def _random_partition(rng, n, divisions, round_to):
     part.rects[0].value = float(np.round(rng.normal(), round_to))
     for _ in range(divisions):
         rect = part.rects[int(rng.choice(list(part.rects)))]
-        results = {(p.dim, p.sign): float(np.round(rng.normal(), round_to))
-                   for p in sample_points(rect)}
+        results = {key: float(np.round(rng.normal(), round_to))
+                   for key in sample_points(rect)}
         part.divide(rect.id, results)
     return part
 
