@@ -40,11 +40,10 @@ from .objectives import (
     TransformDomain,
     make_multi_basin,
     margin_batch,
-    margin_loss,
     test_function,
 )
 from .partition import HyperRect, ParamSpace, Partition, PartitionError, sample_points
-from .selection import RectStat, optimal_score, select_po
+from .selection import select_po
 from .slope import SlopeTracker, estimate_lower_bound
 
 __version__ = "0.1.0"
@@ -61,7 +60,6 @@ __all__ = [
     "ParamSpace",
     "Partition",
     "PartitionError",
-    "RectStat",
     "RunTrace",
     "Search",
     "SearchResult",
@@ -83,9 +81,7 @@ __all__ = [
     "load_weights",
     "make_multi_basin",
     "margin_batch",
-    "margin_loss",
     "match_metric",
-    "optimal_score",
     "random_pick",
     "read_image",
     "run",

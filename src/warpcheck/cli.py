@@ -84,8 +84,7 @@ _MODEL = ("weights", "images", "labels", "rotation", "scale", "translate", "skip
 
 # subcommand -> (help, the OPTIONS it accepts)
 COMMANDS = {
-    # optimize has no randomness: it accepts --seed, which existing runs pass, and ignores it
-    "optimize": ("minimise a named test function", _SEARCH + ("seed", "fn", "bounds")),
+    "optimize": ("minimise a named test function", _SEARCH + ("fn", "bounds")),
     "verify": ("robustness verdict per example", _SEARCH + _MODEL),
     "compare": ("side-by-side with grid and random baselines",
                 _SEARCH + _MODEL + ("seed", "oracle_grid", "oracle_random", "match_tolerance")),
@@ -185,7 +184,10 @@ def _parse_pair(raw: str) -> tuple[float, float]:
 def _parse_labels(raw: str, count: int) -> list[int]:
     path = Path(raw)
     if path.exists():
-        tokens = path.read_text().split()
+        try:
+            tokens = path.read_text().split()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _bad("labels", exc) from None
     else:
         tokens = [t for t in raw.split(",") if t.strip() != ""]
     try:

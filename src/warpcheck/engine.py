@@ -9,15 +9,18 @@ stops after an iteration when selection returned nothing (every rect is at
 the depth cap), the iteration cap is reached or the query budget is spent,
 so one batch may overshoot it.  :func:`run` steps a search until it stops.
 
-No point is ever queried twice, so no evaluation cache is kept: a sample
-point lies strictly inside its rect and off its center, while every point
-queried so far is the center of exactly one live rect.  Depths up to 33
-(:class:`BudgetConfig`) keep distinct points distinct as doubles.  The
-best point is tracked as the live rect centered there.
+No unit-cube point is ever queried twice, so no evaluation cache is kept:
+a sample point lies strictly inside its rect and off its center, while
+every point queried so far is the center of exactly one live rect.  Depths
+up to 33 (:class:`BudgetConfig`) keep distinct unit points distinct as
+doubles; on a narrow box away from zero :meth:`ParamSpace.to_physical` can
+still round two to one physical point, which costs a repeated query of the
+same value.  The best point is tracked as the live rect centered there.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +56,11 @@ class BudgetConfig:
     tau: float = 1e-4
 
     def __post_init__(self) -> None:
+        for name in ("max_iters", "max_queries", "depth", "alpha"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.max_queries < 1:
@@ -62,7 +70,8 @@ class BudgetConfig:
         # Up to depth 33 every center is an odd multiple of 1/(2 * 3**33), so
         # distinct centers lie at least 3**-33 ~ 1.9e-16 apart, above the
         # spacing of doubles below 1 (2**-53); deeper, distinct sample points
-        # round to one double and a point would be queried twice.
+        # round to one double and a point would be queried twice.  This holds
+        # for unit points: to_physical may still map two of them to one.
         if self.depth > 33:
             raise ValueError("depth must be at most 33")
         if self.alpha < 1:

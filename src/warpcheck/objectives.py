@@ -20,14 +20,6 @@ from .geometry import FACTORS, IDENTITY, build_matrix_batch, validate_image, war
 from .partition import ParamSpace
 
 
-def margin_loss(logits, label: int) -> float:
-    """True-class logit minus the largest competing logit."""
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1:
-        raise ValueError("margin needs a vector of at least two logits")
-    return float(margin_batch(logits[None], label)[0])
-
-
 def margin_batch(logits: np.ndarray, label: int) -> np.ndarray:
     """True-class logit minus the largest competing logit, per row of (B, K) logits."""
     logits = np.asarray(logits, dtype=float)
@@ -141,7 +133,7 @@ class MarginObjective:
     def clean_margin(self) -> float:
         """Margin on the untouched input (no warp in the path), computed once."""
         logits = np.asarray(self.model(self.image[None]), dtype=float)
-        return margin_loss(logits[0], self.label)
+        return float(margin_batch(logits, self.label)[0])
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ data: :func:`sample_points` maps each ``(dim, sign)`` to a sample point's
 unit coordinates, :meth:`Partition.divide` takes the same keys mapped to
 the observed values and returns the children's ids.  Points need no
 identity beyond that: a sample point lies strictly inside its rect and off
-its center, so it is never a point evaluated before, and once evaluated it
-is the center of exactly one live rect.  Callers track a point by the id of
-the rect centered there.
+its center, so it is never a unit point evaluated before, and once
+evaluated it is the center of exactly one live rect.  Callers track a point
+by the id of the rect centered there.  Only unit points are distinct:
+:meth:`ParamSpace.to_physical` can round two of them to one physical point.
 
 The partition also keeps its size groups: the live rects of each depth key
 in ``(value, id)`` order, which is all selection needs.  A division removes

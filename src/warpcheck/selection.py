@@ -1,10 +1,9 @@
 """Potentially-optimal subspace selection.
 
-The functions here read only ``id``, ``depth_key`` and ``value``, so they
-run unchanged on the live rects of a partition (:class:`HyperRect`) or on
-synthetic ``RectStat`` records in tests.  Sizes are grouped by the minimum
-trisection depth; group ``k`` has size ``group_size(k) = 0.5 * 3**-k``
-(from :mod:`warpcheck.partition`).  A :class:`Partition` keeps its groups
+The functions here read only a :class:`HyperRect`'s ``id``, ``depth_key``
+and ``value``.  Sizes are grouped by the minimum trisection depth; group
+``k`` has size ``group_size(k) = 0.5 * 3**-k`` (from
+:mod:`warpcheck.partition`).  A :class:`Partition` keeps its groups
 sorted as it divides, so selecting from one reads those groups as they
 stand; any other iterable of rects is grouped once per call by
 :func:`group_by_size`.  The depth cap lives here as well:
@@ -13,10 +12,10 @@ returns has sample points.
 
 A rect is potentially optimal when some Lipschitz constant makes it the
 most promising of its size.  :func:`slope_bracket` gives those constants
-as one interval; :func:`optimal_score` is its width.  Within a size group
-the score never rises as the center value rises (the slope toward larger
-rects falls, the slope toward smaller rects rises, and float rounding
-keeps both monotone).  So the ``alpha`` best-scoring rects of a group are
+as one interval; a rect's score is its width.  Within a size group the
+score never rises as the center value rises (the slope toward larger rects
+falls, the slope toward smaller rects rises, and float rounding keeps both
+monotone).  So the ``alpha`` best-scoring rects of a group are
 its ``alpha`` lowest center values, cut at the first non-positive score;
 selection brackets at most ``alpha`` rects per group, never the rest, and
 reads one minimum per group.
@@ -33,39 +32,20 @@ whenever any rect is still divisible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .partition import HyperRect, Partition, group_size, rank
 
 
-@dataclass(frozen=True)
-class RectStat:
-    """Stand-in for a live rect: the fields selection reads."""
-
-    id: int
-    depth_key: int
-    value: float
-
-
-Rect = HyperRect | RectStat
-
-
-def group_by_size(stats: Iterable[Rect]) -> dict[int, list[Rect]]:
+def group_by_size(stats: Iterable[HyperRect]) -> dict[int, list[HyperRect]]:
     """Depth key -> rects of that size ordered by (value, id), keys ascending."""
-    groups: dict[int, list[Rect]] = {}
+    groups: dict[int, list[HyperRect]] = {}
     for s in stats:
         groups.setdefault(s.depth_key, []).append(s)
     return {k: sorted(groups[k], key=rank) for k in sorted(groups)}
 
 
-def group_minima(groups: Mapping[int, Sequence[Rect]]) -> dict[int, float]:
-    """Least center value per group, from groups ordered like
-    :func:`group_by_size` output."""
-    return {k: members[0].value for k, members in groups.items()}
-
-
-def slope_bracket(stat: Rect, minima: Mapping[int, float]) -> tuple[float, float]:
+def slope_bracket(stat: HyperRect, minima: Mapping[int, float]) -> tuple[float, float]:
     """Admissible local-slope constants for ``stat``, as ``(lower, upper)``.
 
     ``upper`` is the least slope ``(value_q - value_p)/(size_q - size_p)``
@@ -88,17 +68,7 @@ def slope_bracket(stat: Rect, minima: Mapping[int, float]) -> tuple[float, float
     return lower, upper
 
 
-def optimal_score(stat: Rect, minima: Mapping[int, float]) -> float:
-    """Width of the admissible local-slope bracket for ``stat``.
-
-    Positive means some slope constant makes this rect the most promising
-    of its size; rects in the largest group score ``+inf``.
-    """
-    lower, upper = slope_bracket(stat, minima)
-    return upper - lower
-
-
-def sufficient_descent(stat: Rect, l_min: float, tau: float, upper: float) -> bool:
+def sufficient_descent(stat: HyperRect, l_min: float, tau: float, upper: float) -> bool:
     """Whether dividing ``stat`` can improve ``l_min`` by more than ``tau``.
 
     ``upper`` is the upper end of the rect's :func:`slope_bracket`; with no
@@ -111,7 +81,7 @@ def sufficient_descent(stat: Rect, l_min: float, tau: float, upper: float) -> bo
 
 
 def select_po(
-    stats: Iterable[Rect],
+    stats: Iterable[HyperRect],
     alpha: int,
     tau: float,
     l_min: float,
@@ -128,7 +98,7 @@ def select_po(
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     groups = stats.groups if isinstance(stats, Partition) else group_by_size(stats)
-    minima = group_minima(groups)
+    minima = {key: group[0].value for key, group in groups.items()}
     selected: list[int] = []
     for key, group in sorted(groups.items()):
         if key >= max_depth:

@@ -185,6 +185,20 @@ class TestVerify:
                 "--rotation", "10", "--out", str(tmp_path),
             ])
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_label_file(self, kind, model_dir, tmp_path, capsys):
+        path, names = model_dir
+        labels = tmp_path / "labels"
+        if kind == "directory":
+            labels.mkdir()
+        else:
+            labels.write_bytes(b"0 \xff\n")
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--weights", str(path / "net.txt"), "--images", names[0],
+                  "--labels", str(labels), "--rotation", "10", "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "error: --labels (config key data.labels): " in capsys.readouterr().err
+
 
 class TestCompare:
     def test_label_file_length_must_match_images(self, model_dir, tmp_path):
@@ -673,7 +687,7 @@ class TestGoldenOutputs:
                 "optimize", "--fn", "multi-basin", "--bounds", "0,1,0,1", "--depth", "5",
                 "--alpha", "2", "--max-iters", "12", "--tau", "1e-3",
             ],
-            "optimize-config": ["optimize", "--depth", "5", "--seed", "2"],
+            "optimize-config": ["optimize", "--depth", "5"],
             "verify-flags": [
                 "verify", *model, "--images", *names[:4], "--labels", ",".join(labels[:4]),
                 "--rotation", "20", "--scale", "0.1", "--translate", "1.6,1.6",

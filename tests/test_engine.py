@@ -159,6 +159,12 @@ class TestRunBasics:
             BudgetConfig(tau=np.nan)
         with pytest.raises(ValueError):
             BudgetConfig(alpha=0)
+        for name in ("max_iters", "max_queries", "depth", "alpha"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                BudgetConfig(**{name: 2.5})
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                BudgetConfig(**{name: np.float64(3.0)})
+            assert getattr(BudgetConfig(**{name: np.int64(3)}), name) == 3
 
     def test_trace_csv_schema(self):
         fn = make_function("abs1d")

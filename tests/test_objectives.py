@@ -7,36 +7,35 @@ from warpcheck.objectives import (
     TransformDomain,
     make_multi_basin,
     margin_batch,
-    margin_loss,
 )
 from warpcheck.objectives import test_function as make_function
 
 
 class TestMarginLoss:
     def test_true_class_leads(self):
-        assert margin_loss([2.0, 1.0, 0.0], 0) == 1.0
+        assert margin_batch([[2.0, 1.0, 0.0]], 0).tolist() == [1.0]
 
     def test_true_class_trails(self):
-        assert margin_loss([2.0, 1.0, 0.0], 1) == -1.0
+        assert margin_batch([[2.0, 1.0, 0.0]], 1).tolist() == [-1.0]
 
     def test_tie_is_zero(self):
-        assert margin_loss([0.7, 0.7, 0.7], 2) == 0.0
+        assert margin_batch([[0.7, 0.7, 0.7]], 2).tolist() == [0.0]
 
     def test_needs_at_least_two_classes(self):
         with pytest.raises(ValueError):
-            margin_loss([1.0], 0)
+            margin_batch([[1.0]], 0)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
-            margin_loss([1.0, 2.0], 2)
+            margin_batch([[1.0, 2.0]], 2)
 
     def test_batch_matches_scalar(self):
+        # each row of a batch equals that row's one-row batch, bit for bit
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(20, 4))
         for label in range(4):
-            batch = margin_batch(logits, label)
-            scalar = [margin_loss(row, label) for row in logits]
-            assert np.allclose(batch, scalar)
+            rows = [margin_batch(row[None], label)[0] for row in logits]
+            assert np.array_equal(margin_batch(logits, label), rows)
 
 
 class TestTransformDomain:
