@@ -76,7 +76,11 @@ class BudgetConfig:
             raise ValueError("depth must be at most 33")
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
-        if not 0 < self.tau < np.inf:
+        try:
+            tau_ok = 0 < self.tau < np.inf
+        except TypeError:
+            raise ValueError("tau must be a number") from None
+        if not tau_ok:
             raise ValueError("tau must be positive and finite")
 
 

@@ -8,17 +8,22 @@ positions outside the grid contribute zero.
 
 Bilinear sampling reads the four corners of every source position with one
 flat-index gather each from a copy of the image with a two-pixel ring of
-zeros; floored coordinates are clipped into that ring, so out-of-grid corners
-read zero without a bounds mask.  The interpolation weights and their
-summation order are fixed, so an identity matrix reproduces the input bit
-for bit.
+zeros; floored coordinates are clipped into that ring before they are cast
+to integers, so out-of-grid corners, however far out, read zero without a
+bounds mask.  The interpolation weights and their summation order are
+fixed, so an identity matrix reproduces the input bit for bit.
 
-:func:`warp_batch` pads the image once and fills its output in chunks of a
-fixed number of source positions (points x H x W).  Within a chunk each
-source coordinate is the sum of separable (points, W) and (points, H)
-products, so only the sum is full size.  Its extra memory therefore does
-not grow with the batch, and chunking does not change a bit: each point's
-values are those of a warp of that point alone.
+:func:`warp_batch` pads the image once, as one contiguous plane per channel,
+and fills its output in chunks of a fixed number of source positions
+(points x H x W).  Within a chunk each source coordinate is the sum of
+separable (points, W) and (points, H) products, so only the sum is full
+size.  The chunk's coordinates, weights and flat indices, and each
+channel's gathered corners, go into (points, H, W) buffers that are
+allocated once per call and reused by every chunk and channel; every ufunc
+writes them with ``out=``, so a channel's interpolation runs on long
+contiguous rows rather than broadcasting over a short channel axis.  The
+extra memory therefore does not grow with the batch, and chunking does not
+change a bit: each point's values are those of a warp of that point alone.
 
 The matrix applies the scale factor to the cosine entries only:
 
@@ -133,18 +138,20 @@ def _axes(height: int, width: int):
     return np.arange(width) - cx, (np.arange(height) - cy)[:, None], cx, cy
 
 
-def _source_coords(matrices: np.ndarray, height: int, width: int):
-    """Source rows and cols (B, H, W) for each output pixel.
+def _source_coords(matrices: np.ndarray, height: int, width: int, out=None):
+    """Source rows and cols (B, H, W) for each output pixel, written into
+    the ``(rows, cols)`` arrays of ``out`` when given.
 
     Each product is taken on its (B, 1, W) or (B, H, 1) factor and only the
     sum is full size, which gives the bits of full-size products.
     """
+    rows, cols = (None, None) if out is None else out
     xs, ys, cx, cy = _axes(height, width)
     a = matrices[:, None, None, :, :]  # (B, 1, 1, 2, 3)
-    src_x = a[..., 0, 0] * xs + a[..., 0, 1] * ys
+    src_x = np.add(a[..., 0, 0] * xs, a[..., 0, 1] * ys, out=cols)
     src_x += a[..., 0, 2]
     src_x += cx
-    src_y = a[..., 1, 0] * xs + a[..., 1, 1] * ys
+    src_y = np.add(a[..., 1, 0] * xs, a[..., 1, 1] * ys, out=rows)
     src_y += a[..., 1, 2]
     src_y += cy
     return src_y, src_x
@@ -176,58 +183,79 @@ def _checked_matrices(matrices, ndim: int) -> np.ndarray:
     return arr
 
 
-def _corners(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray, out=None):
+def _lattice(rows, cols, height: int, width: int, idx, floor_r, floor_c) -> None:
+    """Split source positions into pixel lattice points and offsets.
+
+    Overwrites ``rows`` and ``cols`` with their fractional offsets and
+    writes into ``idx`` the flat index, in a padded image as :func:`_pad`
+    returns it, of each position's (r0, c0) corner.  The floored
+    coordinates are clipped into the ring before they are cast, so a
+    far-out position reads zero and never overflows the integer cast;
+    ``floor_r`` and ``floor_c`` are float scratch of the same shape.
+    """
+    stride = width + 4
+    np.floor(rows, out=floor_r)
+    np.floor(cols, out=floor_c)
+    rows -= floor_r
+    cols -= floor_c
+    np.clip(floor_r, -2, height, out=floor_r)
+    np.clip(floor_c, -2, width, out=floor_c)
+    # small integers, so these float sums are exact
+    floor_r *= stride
+    floor_r += floor_c
+    floor_r += 2 * stride + 2
+    np.copyto(idx, floor_r, casting="unsafe")
+
+
+def _corners(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     """Bilinear corners of each source position in one gather per corner.
 
-    ``padded`` is the image as :func:`_pad` returns it.  Returns
-    ``(fr, fc, [v00, v01, v10, v11])``: the fractional offsets with a
-    trailing channel axis, and the pixel values at (r0, c0), (r0, c0 + 1),
-    (r0 + 1, c0) and (r0 + 1, c0 + 1), each (..., C).  ``v00`` is written
-    into ``out`` when given; the others are freshly allocated.  The floored
-    coordinates are clipped into the ring, so out-of-grid corners read zero
-    without a mask.
+    ``padded`` is the image as :func:`_pad` returns it; ``rows`` and
+    ``cols`` are overwritten (see :func:`_lattice`).  Returns ``(fr, fc,
+    [v00, v01, v10, v11])``: the fractional offsets with a trailing channel
+    axis, and the pixel values at (r0, c0), (r0, c0 + 1), (r0 + 1, c0) and
+    (r0 + 1, c0 + 1), each (..., C).
     """
     h, w = padded.shape[0] - 4, padded.shape[1] - 4
     flat = padded.reshape(-1, padded.shape[2])
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = (rows - r0)[..., None]
-    fc = (cols - c0)[..., None]
+    idx = np.empty(rows.shape, dtype=np.int64)
+    _lattice(rows, cols, h, w, idx, np.empty_like(rows), np.empty_like(cols))
     stride = w + 4
-    idx = np.clip(r0, -2, h, out=r0)
-    idx *= stride
-    idx += np.clip(c0, -2, w, out=c0)
-    idx += 2 * stride + 2
-    # every index is in range, so mode="clip" only spares the buffered copy
-    # that np.take makes for ``out`` under the default mode
-    v00 = np.take(flat, idx, axis=0, out=out, mode="clip")
-    corners = [np.take(flat[offset:], idx, axis=0) for offset in (1, stride, stride + 1)]
-    return fr, fc, [v00, *corners]
+    # every index is in range, so mode="clip" only skips the bounds check
+    corners = [np.take(flat[offset:], idx, axis=0, mode="clip")
+               for offset in (0, 1, stride, stride + 1)]
+    return rows[..., None], cols[..., None], corners
 
 
-def _warp_into(padded: np.ndarray, matrices: np.ndarray, out: np.ndarray) -> None:
-    """Bilinear warp of the padded image by each matrix, written into ``out``.
+def _warp_into(planes: np.ndarray, matrices: np.ndarray, out: np.ndarray, buffers) -> None:
+    """Bilinear warp of the padded channel planes by each matrix, written
+    into ``out`` (points, H, W, C).
 
-    One chunk of :func:`warp_batch`; its temporaries are freed on return,
-    before the next chunk allocates its own.
+    One chunk of :func:`warp_batch`.  ``buffers`` holds six float arrays
+    and one int64 array, each (points, H, W), which every ufunc here writes
+    with ``out=``; the chunk allocates only its small source-coordinate
+    factors.
     """
     h, w = out.shape[1:3]
-    rows, cols = _source_coords(matrices, h, w)
-    fr, fc, (_, v01, v10, v11) = _corners(padded, rows, cols, out=out)
-    gr = 1.0 - fr
-    gc = 1.0 - fc
-    # same products and summation order as v00*gr*gc + v01*gr*fc + ...
-    out *= gr
-    out *= gc
-    v01 *= gr
-    v01 *= fc
-    out += v01
-    v10 *= fr
-    v10 *= gc
-    out += v10
-    v11 *= fr
-    v11 *= fc
-    out += v11
+    fr, fc, gr, gc, acc, corner, idx = buffers
+    _source_coords(matrices, h, w, out=(fr, fc))
+    _lattice(fr, fc, h, w, idx, gr, gc)
+    np.subtract(1.0, fr, out=gr)
+    np.subtract(1.0, fc, out=gc)
+    for channel, plane in enumerate(planes):
+        # every index is in range, so mode="clip" only spares np.take the
+        # buffered copy it makes for ``out`` under the default mode; the
+        # products and their summation order are those of
+        # v00*gr*gc + v01*gr*fc + v10*fr*gc + v11*fr*fc
+        np.take(plane, idx, out=acc, mode="clip")
+        acc *= gr
+        acc *= gc
+        for offset, row_w, col_w in ((1, gr, fc), (w + 4, fr, gc), (w + 5, fr, fc)):
+            np.take(plane[offset:], idx, out=corner, mode="clip")
+            corner *= row_w
+            corner *= col_w
+            acc += corner
+        out[..., channel] = acc
 
 
 def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
@@ -244,11 +272,15 @@ def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
     img = validate_image(image)
     h, w, c = img.shape
     matrices = _checked_matrices(matrices, 3)
-    padded = _pad(img)
+    # (C, (H + 4) * (W + 4)): one contiguous padded plane per channel
+    planes = _pad(img).transpose(2, 0, 1).reshape(c, -1)
     out = np.empty((len(matrices), h, w, c))
     step = max(1, _WARP_CHUNK_POSITIONS // (h * w))
+    shape = (min(step, len(matrices)), h, w)
+    buffers = [np.empty(shape) for _ in range(6)] + [np.empty(shape, dtype=np.int64)]
     for start in range(0, len(matrices), step):
-        _warp_into(padded, matrices[start:start + step], out[start:start + step])
+        chunk = matrices[start:start + step]
+        _warp_into(planes, chunk, out[start:start + step], [b[: len(chunk)] for b in buffers])
     return out
 
 

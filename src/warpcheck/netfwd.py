@@ -19,9 +19,20 @@ reorders row-major.  Inference is pure and deterministic.
 ``conv2d`` is lowered to matrix products (im2col): each output pixel's
 k x k x C input window becomes one row, and a block of rows is multiplied by
 the weight reshaped to (k*k*C, out_ch).  Whole images are lowered together
-in blocks of at most ``_IM2COL_BLOCK_FLOATS`` window values (2 MiB), or one
-image at a time when a single image exceeds that, so the lowered copy never
-grows with the batch.
+in blocks of at most ``_IM2COL_BLOCK_FLOATS`` window values (512 KiB), or
+one image at a time when a single image exceeds that, so the lowered copy
+never grows with the batch.
+
+:func:`forward` keeps a scratch arena on the :class:`NetSpec`: a padded-input
+buffer, a lowered-block buffer and one conv output buffer that every conv
+layer shares (a padded conv copies its input into the padded buffer first,
+so its output may overwrite the buffer its input came from).  Each call
+takes views of its batch's size; a buffer is replaced only by a larger one,
+so the arena is grow-only and lives as long as the ``NetSpec``.  Relu runs
+in place only on arrays the pass itself made, never on the caller's batch,
+and the returned logits are always a fresh array.  Because the arena is
+shared, one ``NetSpec`` must not run two forward passes at once (use one
+``NetSpec`` per thread).
 """
 
 from __future__ import annotations
@@ -33,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Window values lowered at once (2 MiB of float64), so that the lowered copy
-# does not grow with the batch.
-_IM2COL_BLOCK_FLOATS = 1 << 18
+# Window values lowered at once (512 KiB of float64), so that the lowered
+# copy does not grow with the batch and stays near the L2 cache's size.
+_IM2COL_BLOCK_FLOATS = 1 << 16
 
 
 class WeightFormatError(ValueError):
@@ -74,17 +85,35 @@ class Conv2dLayer:
     stride: int
     pad: int
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+        """Convolve a (B, H, W, C) batch; the result is (B, OH, OW, out_ch).
+
+        With ``scratch``, a forward pass's arena, the padded input, the
+        lowered blocks and the result live in its buffers, so the result is
+        only valid until the arena's next use; without it, the buffers are
+        this call's own.
+        """
         if x.ndim != 4:
             raise ShapeError(f"conv2d expects (B, H, W, C) input, got shape {x.shape}")
         out_ch, in_ch, k, _ = self.weight.shape
         if x.shape[3] != in_ch:
             raise ShapeError(f"conv2d expects {in_ch} channels, got {x.shape[3]}")
-        if self.pad:
-            x = np.pad(x, ((0, 0), (self.pad, self.pad), (self.pad, self.pad), (0, 0)))
-        b, h, w, _ = x.shape
+        arena = {} if scratch is None else scratch
+        p = self.pad
+        b, h, w = x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p
         if h < k or w < k:
             raise ShapeError(f"conv2d kernel {k} larger than padded input {h}x{w}")
+        if p or ("out" in arena and np.may_share_memory(x, arena["out"])):
+            # the result may then reuse the buffer the input came from;
+            # the border is zeroed on every call, as the buffer's previous
+            # user may have left values there
+            padded = _buffer(arena, "padded", (b, h, w, in_ch))
+            padded[:, :p] = 0.0
+            padded[:, h - p :] = 0.0
+            padded[:, p : h - p, :p] = 0.0
+            padded[:, p : h - p, w - p :] = 0.0
+            padded[:, p : h - p, p : w - p] = x
+            x = padded
         oh = (h - k) // self.stride + 1
         ow = (w - k) // self.stride + 1
         # (b, oh, ow, k, k, in_ch) windows; rows of a block flatten in the
@@ -93,15 +122,27 @@ class Conv2dLayer:
         windows = windows[:, :: self.stride, :: self.stride].transpose(0, 1, 2, 4, 5, 3)
         row = k * k * in_ch
         weight = self.weight.transpose(2, 3, 1, 0).reshape(row, out_ch)
-        out = np.empty((b, oh, ow, out_ch))
+        out = _buffer(arena, "out", (b, oh, ow, out_ch))
         step = max(1, _IM2COL_BLOCK_FLOATS // max(1, oh * ow * row))
+        lowered = _buffer(arena, "lowered", (min(step, b), oh, ow, k, k, in_ch))
         for start in range(0, b, step):
             block = windows[start : start + step]
             n = len(block) * oh * ow
-            np.matmul(block.reshape(n, row), weight,
+            np.copyto(lowered[: len(block)], block)
+            np.matmul(lowered[: len(block)].reshape(n, row), weight,
                       out=out[start : start + step].reshape(n, out_ch))
         out += self.bias
         return out
+
+
+def _buffer(arena: dict, name: str, shape: tuple) -> np.ndarray:
+    """A C-ordered float view of ``shape`` on the arena's buffer ``name``,
+    which is replaced by a larger one only when it is too small."""
+    size = math.prod(shape)
+    buf = arena.get(name)
+    if buf is None or buf.size < size:
+        buf = arena[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 @dataclass
@@ -112,20 +153,32 @@ class FlattenLayer:
 
 @dataclass
 class NetSpec:
-    """Ordered layers of a loaded network."""
+    """Ordered layers of a loaded network, and the scratch arena that
+    :func:`forward` keeps for them between calls."""
 
     layers: list = field(default_factory=list)
+    scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def forward(net: NetSpec, batch) -> np.ndarray:
-    """Run a batch through the network; returns (B, K) logits."""
+    """Run a batch through the network; returns fresh (B, K) logits."""
     x = np.asarray(batch, dtype=float)
     if x.ndim not in (2, 4):
         raise ShapeError(f"expected (B, N) or (B, H, W, C) input, got shape {x.shape}")
+    owned = False  # x was made by this pass, so relu may overwrite it
     for layer in net.layers:
-        x = layer.apply(x)
+        if isinstance(layer, Conv2dLayer):
+            x, owned = layer.apply(x, net.scratch), True
+        elif isinstance(layer, ReluLayer) and owned:
+            np.maximum(x, 0.0, out=x)
+        else:
+            x = layer.apply(x)
+            # flatten reshapes its input, so x is owned only if that was
+            owned = owned or not isinstance(layer, FlattenLayer)
     if x.ndim != 2:
         raise ShapeError("network output is not a batch of logit vectors")
+    if any(np.may_share_memory(x, buf) for buf in net.scratch.values()):
+        x = x.copy()
     return x
 
 

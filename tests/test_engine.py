@@ -157,6 +157,9 @@ class TestRunBasics:
             BudgetConfig(tau=np.inf)
         with pytest.raises(ValueError):
             BudgetConfig(tau=np.nan)
+        for tau in ("0.1", None):
+            with pytest.raises(ValueError, match="tau must be a number"):
+                BudgetConfig(tau=tau)
         with pytest.raises(ValueError):
             BudgetConfig(alpha=0)
         for name in ("max_iters", "max_queries", "depth", "alpha"):

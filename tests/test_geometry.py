@@ -1,5 +1,7 @@
+import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from warpcheck.geometry import (
     warp_coordinate_grads,
     warp_grad,
 )
+from warpcheck.objectives import TransformDomain
 
 
 def fd_grad(image, params, factor, step=1e-4):
@@ -188,6 +191,20 @@ class TestWarp:
         with pytest.raises(ValueError, match="matri"):
             call(np.random.default_rng(3).random((4, 5, 2)))
 
+    def test_far_out_translation_reads_zero(self):
+        # source positions beyond the int64 range are clipped into the ring
+        # before the cast, so they read zero without an invalid-cast warning
+        domain = TransformDomain.from_ranges(translate=(1e19, 1e19))
+        corners = domain.param_space().to_physical(np.array([[0, 0], [0, 1], [1, 0], [1, 1.0]]))
+        mats = build_matrix_batch(**domain.factor_columns(corners))
+        img = np.random.default_rng(6).random((5, 6, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(warp_batch(img, mats), np.zeros((4, 5, 6, 3)))
+            for m in mats:
+                for grad in warp_coordinate_grads(img, m):
+                    assert np.array_equal(grad, np.zeros((5, 6, 3)))
+
     def test_empty_batch(self):
         assert warp_batch(np.zeros((4, 5, 2)), np.zeros((0, 2, 3))).shape == (0, 4, 5, 2)
 
@@ -209,7 +226,7 @@ class TestWarpMatchesMaskedReference:
     """The padded single-gather warp against the masked per-corner reference."""
 
     @pytest.mark.parametrize("batch", [1, 17, 20000])
-    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3)])
+    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3), (6, 5, 4)])
     def test_warp_batch(self, batch, shape):
         rng = np.random.default_rng(batch + shape[2])
         # negative pixels make masked-out corners signed zeros
@@ -240,6 +257,26 @@ class TestWarpMatchesMaskedReference:
             want = warp_coordinate_grads_reference(img, m)
             assert bit_identical(got[0], want[0])
             assert bit_identical(got[1], want[1])
+
+
+class TestWarpGolden:
+    def test_digest(self):
+        # SHA-256 over warps of 1-, 3- and 4-channel images by ordinary and
+        # extreme matrices, pinned: a change to the sampling that moves a
+        # bit or the sign of a zero shows here
+        rng = np.random.default_rng(24)
+        digest = hashlib.sha256()
+        for shape in [(9, 7, 1), (16, 16, 3), (5, 6, 4)]:
+            img = rng.random(shape) - 0.5
+            ordinary = build_matrix_batch(
+                rng.uniform(-10.0, 10.0, 17), rng.uniform(0.95, 1.05, 17),
+                rng.uniform(-1.5, 1.5, 17), rng.uniform(-1.5, 1.5, 17),
+            )
+            for mats in (ordinary, extreme_matrices(rng, 17)):
+                digest.update(warp_batch(img, mats).tobytes())
+        assert digest.hexdigest() == (
+            "247365ac0b442bf800710be15bf9da031b9f2020a6a173b6dee4d37788849436"
+        )
 
 
 class TestValidateImage:

@@ -114,6 +114,85 @@ class TestLayers:
             forward(net, np.ones(4))
 
 
+def _mixed_conv_net(rng):
+    # pad 2 / stride 1, pad 1 / stride 2 and pad 0 convs with 2 -> 3 -> 4 -> 8
+    # channels: on 9x7 inputs their padded inputs and outputs all differ in
+    # shape, and the pad 0 conv's output per image outgrows its input
+    return NetSpec([
+        Conv2dLayer(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), stride=1, pad=2),
+        ReluLayer(),
+        Conv2dLayer(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), stride=2, pad=1),
+        ReluLayer(),
+        Conv2dLayer(rng.normal(size=(8, 4, 2, 2)), rng.normal(size=8), stride=1, pad=0),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(rng.normal(size=(3, 160)), rng.normal(size=3)),
+    ])
+
+
+class TestScratchArena:
+    """forward keeps its conv buffers on the NetSpec between calls."""
+
+    @pytest.mark.parametrize("layers, shape", [
+        ([FlattenLayer(), ReluLayer(), DenseLayer(np.ones((2, 12)), np.zeros(2))], (3, 2, 3, 2)),
+        ([ReluLayer(), DenseLayer(np.ones((2, 12)), np.zeros(2))], (3, 12)),
+        ([Conv2dLayer(np.ones((2, 2, 1, 1)), np.zeros(2), stride=1, pad=0), ReluLayer(),
+          FlattenLayer(), DenseLayer(np.ones((2, 12)), np.zeros(2))], (3, 2, 3, 2)),
+    ], ids=["flatten-relu-dense", "relu-dense", "conv-relu-flatten-dense"])
+    def test_input_batch_left_unchanged(self, layers, shape):
+        x = np.random.default_rng(1).normal(size=shape)
+        before = x.copy()
+        forward(NetSpec(layers), x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("tail", [[], [DenseLayer(np.ones((2, 40)), np.zeros(2))]],
+                             ids=["conv-output", "dense-output"])
+    def test_logits_are_fresh(self, tail):
+        # a net that ends in conv, relu, flatten would otherwise return the arena
+        rng = np.random.default_rng(2)
+        conv = Conv2dLayer(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2), stride=1, pad=1)
+        net = NetSpec([conv, ReluLayer(), FlattenLayer(), *tail])
+        first = forward(net, rng.random((3, 4, 5, 1)))
+        kept = first.copy()
+        second = forward(net, rng.random((3, 4, 5, 1)))
+        assert np.array_equal(first, kept)
+        for logits in (first, second):
+            assert not any(np.shares_memory(logits, buf) for buf in net.scratch.values())
+
+    @pytest.mark.parametrize("block_floats", [None, 300])
+    def test_reused_arena_matches_fresh(self, monkeypatch, block_floats):
+        # stale values in the shared buffers (a padding border written as
+        # interior by another layer, an input read after its buffer was
+        # overwritten) would change bits; 300 window floats lower one image
+        # per block, so a later block would read an input the earlier ones
+        # overwrote
+        if block_floats is not None:
+            monkeypatch.setattr(netfwd, "_IM2COL_BLOCK_FLOATS", block_floats)
+        rng = np.random.default_rng(3)
+        net = _mixed_conv_net(rng)
+        for batch in (17, 46, 1, 9, 17):
+            x = rng.random((batch, 9, 7, 2))
+            got = forward(net, x)
+            # a fresh arena, and each layer alone with buffers of its own
+            want = forward(NetSpec(net.layers), x)
+            alone = x
+            for layer in net.layers:
+                alone = layer.apply(alone)
+            for other in (want, alone):
+                assert np.array_equal(got, other)
+                assert np.array_equal(np.signbit(got), np.signbit(other))
+
+    def test_buffers_reused_up_to_warm_batch(self):
+        rng = np.random.default_rng(4)
+        net = _mixed_conv_net(rng)
+        forward(net, rng.random((46, 9, 7, 2)))
+        buffers = dict(net.scratch)
+        assert sorted(buffers) == ["lowered", "out", "padded"]
+        for batch in (1, 17, 46, 9):
+            forward(net, rng.random((batch, 9, 7, 2)))
+            assert all(net.scratch[name] is buf for name, buf in buffers.items())
+
+
 FIXTURE = """\
 # three layer classifier
 layer dense 4 2

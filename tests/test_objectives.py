@@ -1,7 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from warpcheck.netfwd import DenseLayer, FlattenLayer, NetSpec, forward
+from warpcheck.netfwd import (
+    Conv2dLayer,
+    DenseLayer,
+    FlattenLayer,
+    NetSpec,
+    ReluLayer,
+    forward,
+)
 from warpcheck.objectives import (
     MarginObjective,
     TransformDomain,
@@ -174,6 +183,37 @@ class TestMarginObjective:
             assert np.array_equal(margins < 0.0, flipped & (margins != 0.0))
             # ties sit exactly at zero and count as not verified
             assert np.all((margins > 0.0) == (~flipped))
+
+
+class TestConvGolden:
+    """SHA-256 of the margins of a seeded two-conv net, pinned.
+
+    The net has the layer shapes of the benchmark's conv net at 16x16x3:
+    conv 3->8 (stride 1, pad 1), conv 8->16 (stride 2, pad 1), dense
+    1024->10.  One objective is called at 1, 17 and 46 points in turn, so
+    any change to the conv lowering, its buffers or the warp that moves a
+    bit of a margin shows here as a changed digest.
+    """
+
+    def test_margin_digest(self):
+        rng = np.random.default_rng(16)
+        net = NetSpec([
+            Conv2dLayer(rng.normal(0.0, 0.27, (8, 3, 3, 3)), rng.normal(0.0, 0.05, 8), 1, 1),
+            ReluLayer(),
+            Conv2dLayer(rng.normal(0.0, 0.17, (16, 8, 3, 3)), rng.normal(0.0, 0.05, 16), 2, 1),
+            ReluLayer(),
+            FlattenLayer(),
+            DenseLayer(rng.normal(0.0, 0.044, (10, 1024)), rng.normal(0.0, 0.05, 10)),
+        ])
+        dom = TransformDomain.from_ranges(rotation=10.0, scale=0.05, translate=(1.5, 1.5))
+        obj = MarginObjective(lambda batch: forward(net, batch), rng.random((16, 16, 3)), 3, dom)
+        space = dom.param_space()
+        digest = hashlib.sha256()
+        for n in (1, 17, 46):
+            digest.update(obj(space.to_physical(rng.random((n, space.n)))).tobytes())
+        assert digest.hexdigest() == (
+            "7955c04c0829879358f3418d0b62ebf334aa75782b4cc4db369f8db6e4918bcd"
+        )
 
 
 class TestFunctions:
