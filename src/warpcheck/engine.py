@@ -223,7 +223,9 @@ class Search:
             raise
 
         best, iteration = self.best, len(trace.records)
-        self.po = select_po(self.partition, budget.alpha, budget.tau, best.value, budget.depth)
+        self.po = select_po(
+            self.partition.groups, budget.alpha, budget.tau, best.value, budget.depth
+        )
         if self.K is not None:
             bound = min(r.value - self.K * cover_radius(r.depths, space) for r in self.partition)
         else:
@@ -294,13 +296,15 @@ def verify(
     """Run the search on a margin objective and classify the outcome.
 
     Falsified when any evaluated margin went negative (the witness is the
-    physical point achieving the best observed value); verified when the
-    final lower-bound estimate stayed positive; undecided otherwise.
+    physical point achieving the best observed value); verified when at
+    least one rect was divided and the final lower-bound estimate stayed
+    positive; undecided otherwise.  A run stopped after iteration 0 has
+    seen no slope, so its estimate is the one margin queried.
     """
     trace = run(objective, space, budget)
     if trace.l_min < 0.0:
         status, witness = FALSIFIED, trace.c_min
-    elif trace.l_star_min > 0.0:
+    elif trace.l_star_min > 0.0 and trace.final.iteration > 0:
         status, witness = VERIFIED_ESTIMATE, None
     else:
         status, witness = UNDECIDED, None

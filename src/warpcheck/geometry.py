@@ -7,23 +7,26 @@ pixel's coordinates back into the source image (inverse warping); source
 positions outside the grid contribute zero.
 
 Bilinear sampling reads the four corners of every source position with one
-flat-index gather each from a copy of the image with a two-pixel ring of
-zeros; floored coordinates are clipped into that ring before they are cast
-to integers, so out-of-grid corners, however far out, read zero without a
-bounds mask.  The interpolation weights and their summation order are
-fixed, so an identity matrix reproduces the input bit for bit.
+flat-index gather each from one padded copy of the image: a two-pixel ring
+of zeros around each channel, stored as one contiguous plane per channel
+(:func:`_pad`).  The warp and its coordinate derivatives both read that
+copy through the same flat indices (:func:`_lattice`).  Floored
+coordinates are clipped into the ring before they are cast to integers,
+so out-of-grid corners, however far out, read zero without a bounds mask.
+The interpolation weights and their summation order are fixed, so an
+identity matrix reproduces the input bit for bit.
 
-:func:`warp_batch` pads the image once, as one contiguous plane per channel,
-and fills its output in chunks of a fixed number of source positions
-(points x H x W).  Within a chunk each source coordinate is the sum of
-separable (points, W) and (points, H) products, so only the sum is full
-size.  The chunk's coordinates, weights and flat indices, and each
-channel's gathered corners, go into (points, H, W) buffers that are
-allocated once per call and reused by every chunk and channel; every ufunc
-writes them with ``out=``, so a channel's interpolation runs on long
-contiguous rows rather than broadcasting over a short channel axis.  The
-extra memory therefore does not grow with the batch, and chunking does not
-change a bit: each point's values are those of a warp of that point alone.
+:func:`warp_batch` pads the image once and fills its output in chunks of a
+fixed number of source positions (points x H x W).  Within a chunk each
+source coordinate is the sum of separable (points, W) and (points, H)
+products, so only the sum is full size.  The chunk's coordinates, weights
+and flat indices, and each channel's gathered corners, go into
+(points, H, W) buffers that are allocated once per call and reused by every
+chunk and channel; every ufunc writes them with ``out=``, so a channel's
+interpolation runs on long contiguous rows rather than broadcasting over a
+short channel axis.  The extra memory therefore does not grow with the
+batch, and chunking does not change a bit: each point's values are those of
+a warp of that point alone.
 
 The matrix applies the scale factor to the cosine entries only:
 
@@ -158,17 +161,18 @@ def _source_coords(matrices: np.ndarray, height: int, width: int, out=None):
 
 
 def _pad(image: np.ndarray) -> np.ndarray:
-    """The image with a two-pixel ring, each ring pixel its nearest edge
+    """The (H, W, C) image as (C, (H + 4) * (W + 4)): one contiguous plane
+    per channel with a two-pixel ring, each ring pixel its nearest edge
     pixel times 0.0, which keeps the sign of the zero that masking an edge
     pixel gives."""
     h, w, c = image.shape
-    padded = np.empty((h + 4, w + 4, c))
-    padded[2:-2, 2:-2] = image
-    padded[:2, 2:-2] = image[0] * 0.0
-    padded[-2:, 2:-2] = image[-1] * 0.0
-    padded[:, :2] = padded[:, 2:3] * 0.0
-    padded[:, -2:] = padded[:, -3:-2] * 0.0
-    return padded
+    padded = np.empty((c, h + 4, w + 4))
+    padded[:, 2:-2, 2:-2] = image.transpose(2, 0, 1)
+    padded[:, :2, 2:-2] = padded[:, 2:3, 2:-2] * 0.0
+    padded[:, -2:, 2:-2] = padded[:, -3:-2, 2:-2] * 0.0
+    padded[:, :, :2] = padded[:, :, 2:3] * 0.0
+    padded[:, :, -2:] = padded[:, :, -3:-2] * 0.0
+    return padded.reshape(c, -1)
 
 
 def _checked_matrices(matrices, ndim: int) -> np.ndarray:
@@ -187,8 +191,8 @@ def _lattice(rows, cols, height: int, width: int, idx, floor_r, floor_c) -> None
     """Split source positions into pixel lattice points and offsets.
 
     Overwrites ``rows`` and ``cols`` with their fractional offsets and
-    writes into ``idx`` the flat index, in a padded image as :func:`_pad`
-    returns it, of each position's (r0, c0) corner.  The floored
+    writes into ``idx`` the flat index, in a padded channel plane as
+    :func:`_pad` returns it, of each position's (r0, c0) corner.  The floored
     coordinates are clipped into the ring before they are cast, so a
     far-out position reads zero and never overflows the integer cast;
     ``floor_r`` and ``floor_c`` are float scratch of the same shape.
@@ -205,26 +209,6 @@ def _lattice(rows, cols, height: int, width: int, idx, floor_r, floor_c) -> None
     floor_r += floor_c
     floor_r += 2 * stride + 2
     np.copyto(idx, floor_r, casting="unsafe")
-
-
-def _corners(padded: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Bilinear corners of each source position in one gather per corner.
-
-    ``padded`` is the image as :func:`_pad` returns it; ``rows`` and
-    ``cols`` are overwritten (see :func:`_lattice`).  Returns ``(fr, fc,
-    [v00, v01, v10, v11])``: the fractional offsets with a trailing channel
-    axis, and the pixel values at (r0, c0), (r0, c0 + 1), (r0 + 1, c0) and
-    (r0 + 1, c0 + 1), each (..., C).
-    """
-    h, w = padded.shape[0] - 4, padded.shape[1] - 4
-    flat = padded.reshape(-1, padded.shape[2])
-    idx = np.empty(rows.shape, dtype=np.int64)
-    _lattice(rows, cols, h, w, idx, np.empty_like(rows), np.empty_like(cols))
-    stride = w + 4
-    # every index is in range, so mode="clip" only skips the bounds check
-    corners = [np.take(flat[offset:], idx, axis=0, mode="clip")
-               for offset in (0, 1, stride, stride + 1)]
-    return rows[..., None], cols[..., None], corners
 
 
 def _warp_into(planes: np.ndarray, matrices: np.ndarray, out: np.ndarray, buffers) -> None:
@@ -272,8 +256,7 @@ def warp_batch(image, matrices: np.ndarray) -> np.ndarray:
     img = validate_image(image)
     h, w, c = img.shape
     matrices = _checked_matrices(matrices, 3)
-    # (C, (H + 4) * (W + 4)): one contiguous padded plane per channel
-    planes = _pad(img).transpose(2, 0, 1).reshape(c, -1)
+    planes = _pad(img)
     out = np.empty((len(matrices), h, w, c))
     step = max(1, _WARP_CHUNK_POSITIONS // (h * w))
     shape = (min(step, len(matrices)), h, w)
@@ -302,7 +285,13 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     img = validate_image(image)
     h, w, _ = img.shape
     rows, cols = _source_coords(_checked_matrices(matrix, 2)[None], h, w)
-    fr, fc, (v00, v01, v10, v11) = _corners(_pad(img), rows[0], cols[0])
+    fr, fc = rows[0], cols[0]
+    idx = np.empty((h, w), dtype=np.int64)
+    _lattice(fr, fc, h, w, idx, np.empty_like(fr), np.empty_like(fc))
+    # a ((H + 4) * (W + 4), C) view of the planes, so each gather is (H, W, C)
+    flat = _pad(img).T
+    v00, v01, v10, v11 = (np.take(flat, idx + offset, axis=0) for offset in (0, 1, w + 4, w + 5))
+    fr, fc = fr[..., None], fc[..., None]
 
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)
     d_dx = np.where(fc == 0.0, (1.0 - fr) * v00 + fr * v10, d_dx)

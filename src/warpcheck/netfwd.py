@@ -148,7 +148,7 @@ def _buffer(arena: dict, name: str, shape: tuple) -> np.ndarray:
 @dataclass
 class FlattenLayer:
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
 @dataclass

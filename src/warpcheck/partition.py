@@ -81,7 +81,7 @@ class ParamSpace:
 
 
 # a rect's place in its size group
-rank = operator.attrgetter("value", "id")
+_rank = operator.attrgetter("value", "id")
 
 
 def _center(nums: tuple[int, ...], depths: tuple[int, ...]) -> tuple[float, ...]:
@@ -160,7 +160,7 @@ class Partition:
         rect = HyperRect(self._next_id, nums, depths, value)
         self._next_id += 1
         self.rects[rect.id] = rect
-        bisect.insort(self.groups.setdefault(rect.depth_key, []), rect, key=rank)
+        bisect.insort(self.groups.setdefault(rect.depth_key, []), rect, key=_rank)
         return rect
 
     def __len__(self) -> int:
@@ -201,8 +201,8 @@ class Partition:
             raise PartitionError(f"rect {rect_id} has non-finite value {rect.value}")
 
         group = self.groups[rect.depth_key]
-        at = bisect.bisect_left(group, rank(rect), key=rank)
-        ranks = [rank(r) for r in group[max(at - 1, 0) : at + 2]]
+        at = bisect.bisect_left(group, _rank(rect), key=_rank)
+        ranks = [_rank(r) for r in group[max(at - 1, 0) : at + 2]]
         if group[at : at + 1] != [rect] or ranks != sorted(ranks):
             raise PartitionError(
                 f"rect {rect_id} is out of (value, id) order in size group "

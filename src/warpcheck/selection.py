@@ -3,12 +3,11 @@
 The functions here read only a :class:`HyperRect`'s ``id``, ``depth_key``
 and ``value``.  Sizes are grouped by the minimum trisection depth; group
 ``k`` has size ``group_size(k) = 0.5 * 3**-k`` (from
-:mod:`warpcheck.partition`).  A :class:`Partition` keeps its groups
-sorted as it divides, so selecting from one reads those groups as they
-stand; any other iterable of rects is grouped once per call by
-:func:`group_by_size`.  The depth cap lives here as well:
-:func:`select_po` never picks a rect at ``max_depth``, so every rect it
-returns has sample points.
+:mod:`warpcheck.partition`).  :func:`select_po` reads the size groups as
+``Partition.groups`` keeps them, each in ``(value, id)`` order as the
+partition divides, and never regroups or re-sorts a rect.  The depth cap
+lives here as well: :func:`select_po` never picks a rect at
+``max_depth``, so every rect it returns has sample points.
 
 A rect is potentially optimal when some Lipschitz constant makes it the
 most promising of its size.  :func:`slope_bracket` gives those constants
@@ -32,17 +31,9 @@ whenever any rect is still divisible.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .partition import HyperRect, Partition, group_size, rank
-
-
-def group_by_size(stats: Iterable[HyperRect]) -> dict[int, list[HyperRect]]:
-    """Depth key -> rects of that size ordered by (value, id), keys ascending."""
-    groups: dict[int, list[HyperRect]] = {}
-    for s in stats:
-        groups.setdefault(s.depth_key, []).append(s)
-    return {k: sorted(groups[k], key=rank) for k in sorted(groups)}
+from .partition import HyperRect, group_size
 
 
 def slope_bracket(stat: HyperRect, minima: Mapping[int, float]) -> tuple[float, float]:
@@ -81,7 +72,7 @@ def sufficient_descent(stat: HyperRect, l_min: float, tau: float, upper: float) 
 
 
 def select_po(
-    stats: Iterable[HyperRect],
+    groups: Mapping[int, list[HyperRect]],
     alpha: int,
     tau: float,
     l_min: float,
@@ -89,15 +80,15 @@ def select_po(
 ) -> list[int]:
     """Potentially-optimal rect ids, grouped pass over sizes above the depth cap.
 
-    For each size group still divisible (depth key below ``max_depth``)
-    the top-``alpha`` positive-score rects are kept if they also pass the
-    sufficient-descent test.  Score ties break on lower center value, then
-    lower id.  Ids come back ordered by group (largest size first) then
-    rank.
+    ``groups`` maps each depth key to its rects in ``(value, id)`` order,
+    as ``Partition.groups`` keeps them.  For each size group still
+    divisible (depth key below ``max_depth``) the top-``alpha``
+    positive-score rects are kept if they also pass the sufficient-descent
+    test.  Score ties break on lower center value, then lower id.  Ids
+    come back ordered by group (largest size first) then rank.
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    groups = stats.groups if isinstance(stats, Partition) else group_by_size(stats)
     minima = {key: group[0].value for key, group in groups.items()}
     selected: list[int] = []
     for key, group in sorted(groups.items()):

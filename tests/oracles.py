@@ -142,6 +142,15 @@ def _ref_sufficient_descent(stat, l_min, tau, minima):
     return stat.value <= size * upper
 
 
+def group_by_size(stats):
+    """Depth key -> rects of that size ordered by (value, id), keys ascending:
+    the size groups that ``select_po`` reads, built from any rect list."""
+    groups = {}
+    for s in stats:
+        groups.setdefault(s.depth_key, []).append(s)
+    return {k: sorted(groups[k], key=lambda s: (s.value, s.id)) for k in sorted(groups)}
+
+
 def select_po_reference(stats, alpha, tau, l_min, max_depth):
     """Potentially-optimal ids by scoring every rect of every group.
 

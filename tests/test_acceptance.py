@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fixtures import build_fixture_examples, fixture_domain, fixture_model
-from oracles import lemma_po_oracle
+from oracles import group_by_size, lemma_po_oracle
 from warpcheck.baselines import grid_search, match_metric
 from warpcheck.cli import main as cli_main
 from warpcheck.engine import BudgetConfig, run
@@ -94,7 +94,7 @@ def test_criterion_2_selection_matches_brute_force():
         ]
         tau = float(rng.choice([1e-3, 1e-4, 1e-5]))
         l_min = min(s.value for s in stats)
-        mine = set(select_po(stats, 1, tau, l_min, max_depth=6))
+        mine = set(select_po(group_by_size(stats), 1, tau, l_min, max_depth=6))
         oracle = lemma_po_oracle(stats, tau, l_min)
         if mine != oracle:
             mismatches += 1

@@ -137,6 +137,24 @@ class TestVerify:
                  + payload["undecided"] + payload["clean_error"])
         assert total == len(names)
 
+    def test_one_query_is_undecided(self, model_dir, tmp_path):
+        # the budget stops after the identity query: no rect is divided
+        path, names = model_dir
+        code = main([
+            "verify", "--weights", str(path / "net.txt"),
+            "--images", *names, "--labels", str(path / "labels.txt"),
+            "--rotation", "20", "--max-queries", "1", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        data = [r.split(",") for r in rows if not r.startswith("#")][1:]
+        positive = [r for r in data if float(r[4]) > 0.0]
+        assert positive
+        assert all(r[3] == "undecided" and r[8] == "1" for r in positive)
+        _, payload = read_summary(tmp_path / "summary.txt")
+        assert payload["verified"] == 0
+        assert payload["undecided"] == len(positive)
+
     def test_degenerate_rotation_dim_excluded(self, model_dir, tmp_path):
         path, names = model_dir
         code = main([

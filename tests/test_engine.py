@@ -17,7 +17,6 @@ from warpcheck.engine import (
 from fixtures import build_fixture_examples, fixture_domain, fixture_model
 from warpcheck.objectives import MarginObjective, make_multi_basin
 from warpcheck.objectives import test_function as make_function
-from warpcheck import selection
 from warpcheck.partition import ParamSpace
 from test_partition import assert_size_groups
 
@@ -324,16 +323,6 @@ class TestSizeGroups:
             assert_size_groups(search.partition)
         assert len(search.partition.groups) > 2
 
-    def test_engine_never_regroups_the_partition(self, monkeypatch):
-        def regroup(stats):
-            raise AssertionError("selection regrouped the live rects")
-
-        monkeypatch.setattr(selection, "group_by_size", regroup)
-        fn = make_function("multi-basin")
-        trace = run(fn, fn.param_space(), BudgetConfig(max_iters=20, max_queries=3000))
-        assert trace.stop_reason == "iterations"
-        assert all(r.n_po > 0 for r in trace.records)
-
 
 def recording(fn):
     """``fn`` with every point it is asked for appended to a list."""
@@ -404,6 +393,17 @@ class TestVerify:
         assert result.status == UNDECIDED
         assert result.l_min == pytest.approx(0.05)
         assert result.l_star_min == pytest.approx(-0.02)
+
+    def test_no_division_undecided(self):
+        # one query sees the peak margin 0.5 and no slope; a longer run
+        # finds margins down to -4.5
+        fn = lambda pts: 0.5 - 10.0 * np.abs(pts[:, 0] - 0.5)
+        result = verify(fn, UNIT1, BudgetConfig(max_queries=1))
+        assert result.trace.final.iteration == 0
+        assert result.l_star_min == result.l_min == 0.5
+        assert result.status == UNDECIDED
+        assert result.witness is None
+        assert verify(fn, UNIT1, BudgetConfig(max_queries=3000)).status == FALSIFIED
 
     def test_zero_margin_not_verified(self):
         fn = lambda pts: np.zeros(len(pts))

@@ -247,7 +247,7 @@ class TestWarpMatchesMaskedReference:
         mats = extreme_matrices(rng, 17)
         assert bit_identical(warp_batch(img, mats), warp_batch_reference(img, mats))
 
-    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3), (6, 6, 1)])
+    @pytest.mark.parametrize("shape", [(5, 9, 1), (7, 4, 3), (6, 6, 1), (6, 5, 4)])
     def test_coordinate_grads(self, shape):
         rng = np.random.default_rng(shape[0])
         img = rng.random(shape) - 0.5

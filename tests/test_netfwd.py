@@ -106,6 +106,16 @@ class TestLayers:
         out = FlattenLayer().apply(x)
         assert np.array_equal(out[0], np.arange(12.0))
 
+    def test_empty_batch_through_conv_and_flatten(self):
+        rng = np.random.default_rng(3)
+        net = NetSpec([
+            Conv2dLayer(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2), stride=1, pad=1),
+            ReluLayer(),
+            FlattenLayer(),
+            DenseLayer(rng.normal(size=(5, 32)), rng.normal(size=5)),
+        ])
+        assert forward(net, np.empty((0, 4, 4, 1))).shape == (0, 5)
+
     def test_shape_mismatch_raises(self):
         net = NetSpec([DenseLayer(np.eye(4), np.zeros(4))])
         with pytest.raises(ShapeError):

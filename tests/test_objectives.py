@@ -169,6 +169,11 @@ class TestMarginObjective:
         vals = obj(pts)
         assert np.max(np.abs(vals - vals[0])) < 1e-9
 
+    def test_no_points_gives_no_margins(self):
+        # the model flattens a (0, H, W, C) batch of warps
+        obj, dom = self._objective()
+        assert obj(np.empty((0, dom.param_space().n))).shape == (0,)
+
     def test_rejects_out_of_range_image(self):
         dom = TransformDomain.from_ranges(scale=0.1)
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from warpcheck.partition import (
     PartitionError,
     sample_points,
 )
-from warpcheck.selection import group_by_size, group_size
+from oracles import group_by_size
+from warpcheck.selection import group_size
 
 
 class TestParamSpace:

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import _ref_larger_slope, _ref_smaller_slope, lemma_po_oracle, select_po_reference
+from oracles import (
+    _ref_larger_slope,
+    _ref_smaller_slope,
+    group_by_size,
+    lemma_po_oracle,
+    select_po_reference,
+)
 from warpcheck.partition import HyperRect, Partition, sample_points
 from warpcheck.selection import (
-    group_by_size,
     group_size,
     select_po,
     slope_bracket,
@@ -76,8 +81,9 @@ class TestAlphaCandidates:
         ]
         minima = _minima(stats)
         assert [_score(s, minima) for s in stats[1:]] == pytest.approx([18.0, -9.0, 15.0])
-        assert select_po(stats, alpha=2, tau=1e-4, l_min=3.0, max_depth=6) == [0, 4, 9]
-        assert select_po(stats, alpha=3, tau=1e-4, l_min=3.0, max_depth=6) == [0, 4, 9]
+        groups = group_by_size(stats)
+        assert select_po(groups, alpha=2, tau=1e-4, l_min=3.0, max_depth=6) == [0, 4, 9]
+        assert select_po(groups, alpha=3, tau=1e-4, l_min=3.0, max_depth=6) == [0, 4, 9]
 
     def test_empty_when_all_scores_nonpositive(self):
         # group 1 scores: id 1 (value 1) exactly 0, id 2 (value 2) -3
@@ -86,21 +92,21 @@ class TestAlphaCandidates:
         minima = _minima(stats)
         assert _score(stats[1], minima) == 0.0
         assert _score(stats[2], minima) < 0.0
-        assert select_po(stats, alpha=3, tau=1e-4, l_min=1.0, max_depth=6) == [0]
+        assert select_po(group_by_size(stats), alpha=3, tau=1e-4, l_min=1.0, max_depth=6) == [0]
 
     def test_alpha_one_picks_group_value_minimum(self):
         # within one size group the least center value has the best score
         stats = [HyperRect(0, (1,), (0,), 9.0)]
         stats += [HyperRect(i, (1,), (1,), v) for i, v in ((1, 3.0), (2, 5.0), (3, 4.0))]
-        assert select_po(stats, alpha=1, tau=1e-4, l_min=3.0, max_depth=6) == [0, 1]
+        assert select_po(group_by_size(stats), alpha=1, tau=1e-4, l_min=3.0, max_depth=6) == [0, 1]
 
     def test_infinite_score_ties_break_on_value(self):
         stats = [HyperRect(3, (1,), (0,), 2.0), HyperRect(5, (1,), (0,), 1.0)]
-        assert select_po(stats, alpha=1, tau=1e-4, l_min=1.0, max_depth=6) == [5]
+        assert select_po(group_by_size(stats), alpha=1, tau=1e-4, l_min=1.0, max_depth=6) == [5]
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
-            select_po([], alpha=0, tau=1e-4, l_min=0.0, max_depth=6)
+            select_po({}, alpha=0, tau=1e-4, l_min=0.0, max_depth=6)
 
 
 class TestSufficientDescent:
@@ -136,16 +142,16 @@ class TestSelectPo:
     def test_initial_cube_selected(self):
         part = Partition(2)
         part.rects[0].value = 1.5
-        assert select_po(part, 1, 1e-4, 1.5, 6) == [0]
+        assert select_po(part.groups, 1, 1e-4, 1.5, 6) == [0]
 
     def test_three_rect_configuration(self):
         # largest rect by infinite score; middle passes the descent test
-        got = select_po(THREE, alpha=1, tau=1e-4, l_min=3.0, max_depth=6)
+        got = select_po(group_by_size(THREE), alpha=1, tau=1e-4, l_min=3.0, max_depth=6)
         assert got == [0, 1]
 
     def test_depth_cap_empties_selection(self):
         stats = [HyperRect(0, (1,), (3,), 1.0), HyperRect(1, (1,), (3,), 2.0)]
-        assert select_po(stats, alpha=1, tau=1e-4, l_min=1.0, max_depth=3) == []
+        assert select_po(group_by_size(stats), alpha=1, tau=1e-4, l_min=1.0, max_depth=3) == []
 
     def test_alpha_monotonicity(self):
         rng = np.random.default_rng(42)
@@ -157,7 +163,7 @@ class TestSelectPo:
             l_min = min(s.value for s in stats)
             previous: set[int] = set()
             for alpha in (1, 2, 3, 5):
-                selected = set(select_po(stats, alpha, 1e-4, l_min, max_depth=5))
+                selected = set(select_po(group_by_size(stats), alpha, 1e-4, l_min, max_depth=5))
                 assert previous <= selected
                 previous = selected
 
@@ -169,7 +175,7 @@ class TestSelectPo:
                 for i in range(int(rng.integers(1, 16)))
             ]
             l_min = min(s.value for s in stats)
-            selected = select_po(stats, 1, 1e-4, l_min, max_depth=5)
+            selected = select_po(group_by_size(stats), 1, 1e-4, l_min, max_depth=5)
             assert selected, "selection must not be empty while rects are divisible"
             top_key = min(s.depth_key for s in stats)
             largest = [s for s in stats if s.depth_key == top_key]
@@ -192,7 +198,7 @@ class TestLemmaOracleAgreement:
                 part.divide(rect.id, results)
             stats = list(part)
             l_min = min(s.value for s in stats)
-            mine = set(select_po(stats, 1, 1e-4, l_min, max_depth=9))
+            mine = set(select_po(group_by_size(stats), 1, 1e-4, l_min, max_depth=9))
             assert mine == lemma_po_oracle(stats, 1e-4, l_min)
 
 
@@ -222,7 +228,8 @@ class TestMatchesScoreEveryRectReference:
             l_min = 0.0 if trial % 3 == 0 else min(s.value for s in stats)
             tau = float(rng.choice([1e-3, 1e-4, 1e-5]))
             want = select_po_reference(stats, alpha, tau, l_min, max_depth)
-            assert select_po(stats, alpha, tau, l_min, max_depth) == want, f"trial {trial}"
+            got = select_po(group_by_size(stats), alpha, tau, l_min, max_depth)
+            assert got == want, f"trial {trial}"
 
     @pytest.mark.parametrize("max_depth", [3, 6])
     @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
@@ -232,8 +239,9 @@ class TestMatchesScoreEveryRectReference:
             part = _random_partition(rng, int(rng.integers(1, 4)), 15, round_to=1)
             l_min = 0.0 if trial % 4 == 0 else min(r.value for r in part)
             want = select_po_reference(list(part), alpha, 1e-4, l_min, max_depth)
-            assert select_po(part, alpha, 1e-4, l_min, max_depth) == want, f"trial {trial}"
-            # the partition's own groups, and the same rects regrouped per call
+            assert select_po(part.groups, alpha, 1e-4, l_min, max_depth) == want, f"trial {trial}"
+            # the partition's own groups equal the same rects grouped afresh
             stats = [HyperRect(r.id, (1,), (r.depth_key,), r.value) for r in part]
             for other in (list(part), stats):
-                assert select_po(other, alpha, 1e-4, l_min, max_depth) == want, f"trial {trial}"
+                got = select_po(group_by_size(other), alpha, 1e-4, l_min, max_depth)
+                assert got == want, f"trial {trial}"
