@@ -16,6 +16,9 @@ up to 33 (:class:`BudgetConfig`) keep distinct unit points distinct as
 doubles; on a narrow box away from zero :meth:`ParamSpace.to_physical` can
 still round two to one physical point, which costs a repeated query of the
 same value.  The best point is tracked as the live rect centered there.
+Its physical center and box are computed only when the best rect changes,
+and every :class:`IterationRecord` gets its own copies of both arrays, so
+writing into one record's arrays changes no other record.
 """
 
 from __future__ import annotations
@@ -191,6 +194,8 @@ class Search:
         self.po: list[int] = []  # the rects the next iteration divides
         self.queries = 0
         self.trace = RunTrace()
+        # (best rect, its physical center, its physical box), redone when the best changes
+        self._shown: tuple = (None, None, None)
 
     def step(self) -> IterationRecord | None:
         """Run one iteration and return its record, or ``None`` once stopped:
@@ -203,26 +208,29 @@ class Search:
         # with none selected yet (iteration 0), the root's center is the one query
         plan = [(rect_id, sample_points(self.partition.rects[rect_id])) for rect_id in self.po]
         unit = np.array([u for _, points in plan for u in points.values()] or [self.best.center()])
+        rects, best = self.partition.rects, self.best
         try:
             values = iter(evaluate(self.objective, space.to_physical(unit)).tolist())
             self.queries += len(unit)
             if not plan:
-                self.best.value = next(values)
+                best.value = next(values)
             for rect_id, points in plan:
-                rect = self.partition.rects[rect_id]
-                results = {key: next(values) for key in points}
+                rect = rects[rect_id]
+                results = dict(zip(points, values))
                 self.tracker.observe(rect.value, results, rect.depth_key)
                 *pairs, center_id = self.partition.divide(rect_id, results)
-                if rect is self.best:
-                    self.best = self.partition.rects[center_id]
-                children = [self.partition.rects[child_id] for child_id in pairs]
-                self.best = min([self.best, *children], key=lambda r: r.value)
+                if rect is best:
+                    best = rects[center_id]
+                # strict <: a child that only ties the best does not replace it
+                for child_id in pairs:
+                    if rects[child_id].value < best.value:
+                        best = rects[child_id]
         except Exception:
             # the values are spent or the partition half divided: never resume
             trace.stop_reason = "objective-error"
             raise
 
-        best, iteration = self.best, len(trace.records)
+        self.best, iteration = best, len(trace.records)
         self.po = select_po(
             self.partition.groups, budget.alpha, budget.tau, best.value, budget.depth
         )
@@ -230,6 +238,9 @@ class Search:
             bound = min(r.value - self.K * cover_radius(r.depths, space) for r in self.partition)
         else:
             bound = estimate_lower_bound(best, self.tracker.k_max, space)
+        if self._shown[0] is not best:
+            self._shown = (best, space.to_physical(best.center()), space.to_physical(best.box().T).T)
+        _, c_min, optimal_box = self._shown
         record = IterationRecord(
             iteration=iteration,
             queries=self.queries,
@@ -237,8 +248,8 @@ class Search:
             l_star_min=bound,
             k_hat_max=self.tracker.k_max,
             n_po=len(plan) or len(self.po),  # iteration 0: the first selection
-            c_min=space.to_physical(best.center()),
-            optimal_box=space.to_physical(best.box().T).T,
+            c_min=c_min.copy(),  # each record owns its arrays
+            optimal_box=optimal_box.copy(),
         )
         trace.records.append(record)
         if not self.po:

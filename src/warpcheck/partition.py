@@ -95,13 +95,15 @@ def group_size(depth: int) -> float:
     return 0.5 * 3.0 ** (-depth)
 
 
-@dataclass
+@dataclass(slots=True)
 class HyperRect:
     """One subspace of the unit cube.
 
     ``nums``/``depths`` encode the exact center; ``value`` is the objective
     at the center.  ``depth_key`` is the least trisection depth, which names
-    the rect's size group; :func:`group_size` gives the group's size.
+    the rect's size group; :func:`group_size` gives the group's size.  The
+    class is slotted: a search makes thousands of rects, and each carries
+    only these five fields.
 
     ``value`` is fixed once set, since a :class:`Partition` ranks the rect
     in its group by ``(value, id)``.  The one exception is the root's first
@@ -187,8 +189,10 @@ class Partition:
         if rect is None:
             raise PartitionError(f"rect {rect_id} is not live")
         dims = rect.long_dims()
-        expected = {(i, s) for i in dims for s in (-1, 1)}
-        if set(results) != expected:
+        if len(results) != 2 * len(dims) or any(
+            (i, s) not in results for i in dims for s in (-1, 1)
+        ):
+            expected = {(i, s) for i in dims for s in (-1, 1)}
             raise PartitionError(
                 f"query results do not cover the sampled points of rect {rect_id}: "
                 f"got {sorted(results)}, need {sorted(expected)}"
@@ -200,46 +204,47 @@ class Partition:
         if not math.isfinite(rect.value):
             raise PartitionError(f"rect {rect_id} has non-finite value {rect.value}")
 
+        # bisect_left returns at > 0 only after finding group[at - 1] ranked
+        # below the parent, so only the right neighbour can be out of order
         group = self.groups[rect.depth_key]
-        at = bisect.bisect_left(group, _rank(rect), key=_rank)
-        ranks = [_rank(r) for r in group[max(at - 1, 0) : at + 2]]
-        if group[at : at + 1] != [rect] or ranks != sorted(ranks):
+        rank = _rank(rect)
+        at = bisect.bisect_left(group, rank, key=_rank)
+        if (
+            at == len(group)
+            or group[at] is not rect
+            or (at + 1 < len(group) and _rank(group[at + 1]) < rank)
+        ):
             raise PartitionError(
                 f"rect {rect_id} is out of (value, id) order in size group "
                 f"{rect.depth_key}: its value changed after it joined the group"
             )
 
-        w = {i: min(results[(i, -1)], results[(i, 1)]) for i in dims}
-        order = sorted(dims, key=lambda i: (w[i], i))
+        order = sorted(dims, key=lambda i: (min(results[(i, -1)], results[(i, 1)]), i))
 
-        new_ids: list[int] = []
         del self.rects[rect_id], group[at]
         if not group:
             del self.groups[rect.depth_key]
 
         # Split stage by stage: after stage k the center cell is deepened
         # along the first k dims; the stage-k side pair keeps the remaining
-        # long dims.
+        # long dims, so it shares the deepened center's depths and size group.
+        rects, groups = self.rects, self.groups
+        first = next_id = self._next_id
         nums, depths = rect.nums, rect.depths
         for dim in order:
-            for sign in (-1, 1):
-                child = self._add(*_third(nums, depths, dim, sign), results[(dim, sign)])
-                new_ids.append(child.id)
-            nums, depths = _third(nums, depths, dim, 0)
-
-        new_ids.append(self._add(nums, depths, rect.value).id)
-        return new_ids
-
-
-def _third(
-    nums: tuple[int, ...], depths: tuple[int, ...], dim: int, sign: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact center of the lower (-1), middle (0) or upper (+1) third of the
-    rect centered at ``(nums, depths)``, trisected along ``dim``."""
-    nums, depths = list(nums), list(depths)
-    nums[dim] = 3 * nums[dim] + 2 * sign
-    depths[dim] += 1
-    return tuple(nums), tuple(depths)
+            head, num, tail = nums[:dim], 3 * nums[dim], nums[dim + 1 :]
+            depths = depths[:dim] + (depths[dim] + 1,) + depths[dim + 1 :]
+            lower = HyperRect(next_id, head + (num - 2,) + tail, depths, results[(dim, -1)])
+            upper = HyperRect(next_id + 1, head + (num + 2,) + tail, depths, results[(dim, 1)])
+            group = groups.setdefault(lower.depth_key, [])
+            for child in (lower, upper):
+                rects[child.id] = child
+                bisect.insort(group, child, key=_rank)
+            nums = head + (num,) + tail
+            next_id += 2
+        self._next_id = next_id
+        self._add(nums, depths, rect.value)
+        return list(range(first, next_id + 1))
 
 
 def sample_points(rect: HyperRect) -> dict[tuple[int, int], tuple[float, ...]]:
@@ -250,9 +255,15 @@ def sample_points(rect: HyperRect) -> dict[tuple[int, int], tuple[float, ...]]:
     same keys.  Short sides are ignored.  The depth cap is not checked
     here: selection never picks a rect whose longest side is already at
     the cap.
+
+    A point differs from the rect's center in one coordinate, the center
+    ``(3 num +/- 2) / (2 * 3**(d+1))`` of the lower or upper third, divided
+    as :func:`_center` divides, so every coordinate is correctly rounded.
     """
-    return {
-        (dim, sign): _center(*_third(rect.nums, rect.depths, dim, sign))
-        for dim in rect.long_dims()
-        for sign in (-1, 1)
-    }
+    center, scale = _center(rect.nums, rect.depths), 2 * 3 ** (rect.depth_key + 1)
+    points = {}
+    for dim in rect.long_dims():
+        head, num, tail = center[:dim], 3 * rect.nums[dim], center[dim + 1 :]
+        points[(dim, -1)] = head + ((num - 2) / scale,) + tail
+        points[(dim, 1)] = head + ((num + 2) / scale,) + tail
+    return points

@@ -47,12 +47,14 @@ class SlopeTracker:
     """Running maximum of local slopes over every center ever divided.
 
     The maximum never decreases, matching the ever-growing index set of
-    queried centers.
+    queried centers.  The sample distances of each depth are computed once,
+    by :func:`sample_distance`, and kept for the tracker's life.
     """
 
     def __init__(self, space: ParamSpace) -> None:
         self.space = space
         self.k_max = 0.0
+        self._distances: dict[int, list[float]] = {}
 
     def observe(
         self,
@@ -66,9 +68,15 @@ class SlopeTracker:
         point; each slope is ``|center - sample| / distance`` in physical
         units.
         """
+        distances = self._distances.get(depth)
+        if distances is None:
+            distances = [sample_distance(depth, dim, self.space) for dim in range(self.space.n)]
+            self._distances[depth] = distances
+        k_max = self.k_max
         for (dim, _), value in samples.items():
-            slope = abs(center_value - value) / sample_distance(depth, dim, self.space)
-            if slope > self.k_max:
-                self.k_max = slope
-        if not math.isfinite(self.k_max):
+            slope = abs(center_value - value) / distances[dim]
+            if slope > k_max:
+                k_max = slope
+        self.k_max = k_max
+        if not math.isfinite(k_max):
             raise ValueError("non-finite slope observed")

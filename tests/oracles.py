@@ -1,13 +1,19 @@
 """Independent reference implementations used by several test modules.
 
 These deliberately share no code with the package: quadratic enumeration,
-explicit candidate sweeps, dense grids, and a masked per-corner bilinear
-warp that the package's padded single-gather warp must match bit for bit.
+explicit candidate sweeps, dense grids, a masked per-corner bilinear warp
+that the package's padded single-gather warp must match bit for bit, and
+the partition's trisection as first written, which the package's division
+must match id for id and bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -180,3 +186,128 @@ def select_po_reference(stats, alpha, tau, l_min, max_depth):
             if _ref_sufficient_descent(cand, l_min, tau, minima):
                 selected.append(cand.id)
     return selected
+
+
+# ---------------------------------------------------------------- trisection
+#
+# The partition's division and sample points as first written: each child's
+# center is built as a list and converted back (``_third``), each sample
+# point is a full ``_center`` of its third, and the order guard sorts the
+# parent's neighbours.  Kept verbatim, on a plain (unslotted) rect class, so
+# the package's division can be compared against it state for state.
+
+
+class PartitionError(ValueError):
+    """The reference partition's error; its messages are the package's."""
+
+
+_rank = operator.attrgetter("value", "id")
+
+
+def _center(nums, depths):
+    return tuple(num / (2 * 3**d) for num, d in zip(nums, depths))
+
+
+@dataclass
+class ReferenceRect:
+    id: int
+    nums: tuple[int, ...]
+    depths: tuple[int, ...]
+    value: float = math.nan
+    depth_key: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.depth_key = min(self.depths)
+
+    def long_dims(self) -> list[int]:
+        d = self.depth_key
+        return [i for i, di in enumerate(self.depths) if di == d]
+
+
+class ReferencePartition:
+    """Live rects and their ``(value, id)``-ordered size groups, divided as
+    the partition first divided them."""
+
+    def __init__(self, n: int) -> None:
+        self.rects: dict[int, ReferenceRect] = {}
+        self.groups: dict[int, list[ReferenceRect]] = {}
+        self._next_id = 0
+        self._add((1,) * n, (0,) * n)
+
+    def _add(
+        self, nums: tuple[int, ...], depths: tuple[int, ...], value: float = math.nan
+    ) -> ReferenceRect:
+        rect = ReferenceRect(self._next_id, nums, depths, value)
+        self._next_id += 1
+        self.rects[rect.id] = rect
+        bisect.insort(self.groups.setdefault(rect.depth_key, []), rect, key=_rank)
+        return rect
+
+    def divide(self, rect_id: int, results: Mapping[tuple[int, int], float]) -> list[int]:
+        rect = self.rects.get(rect_id)
+        if rect is None:
+            raise PartitionError(f"rect {rect_id} is not live")
+        dims = rect.long_dims()
+        expected = {(i, s) for i in dims for s in (-1, 1)}
+        if set(results) != expected:
+            raise PartitionError(
+                f"query results do not cover the sampled points of rect {rect_id}: "
+                f"got {sorted(results)}, need {sorted(expected)}"
+            )
+        for k, v in results.items():
+            if not math.isfinite(v):
+                raise PartitionError(f"non-finite query result {v} at {k}")
+        # the center child inherits the value and ranks by it in its group
+        if not math.isfinite(rect.value):
+            raise PartitionError(f"rect {rect_id} has non-finite value {rect.value}")
+
+        group = self.groups[rect.depth_key]
+        at = bisect.bisect_left(group, _rank(rect), key=_rank)
+        ranks = [_rank(r) for r in group[max(at - 1, 0) : at + 2]]
+        if group[at : at + 1] != [rect] or ranks != sorted(ranks):
+            raise PartitionError(
+                f"rect {rect_id} is out of (value, id) order in size group "
+                f"{rect.depth_key}: its value changed after it joined the group"
+            )
+
+        w = {i: min(results[(i, -1)], results[(i, 1)]) for i in dims}
+        order = sorted(dims, key=lambda i: (w[i], i))
+
+        new_ids: list[int] = []
+        del self.rects[rect_id], group[at]
+        if not group:
+            del self.groups[rect.depth_key]
+
+        # Split stage by stage: after stage k the center cell is deepened
+        # along the first k dims; the stage-k side pair keeps the remaining
+        # long dims.
+        nums, depths = rect.nums, rect.depths
+        for dim in order:
+            for sign in (-1, 1):
+                child = self._add(*_third(nums, depths, dim, sign), results[(dim, sign)])
+                new_ids.append(child.id)
+            nums, depths = _third(nums, depths, dim, 0)
+
+        new_ids.append(self._add(nums, depths, rect.value).id)
+        return new_ids
+
+
+def _third(
+    nums: tuple[int, ...], depths: tuple[int, ...], dim: int, sign: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exact center of the lower (-1), middle (0) or upper (+1) third of the
+    rect centered at ``(nums, depths)``, trisected along ``dim``."""
+    nums, depths = list(nums), list(depths)
+    nums[dim] = 3 * nums[dim] + 2 * sign
+    depths[dim] += 1
+    return tuple(nums), tuple(depths)
+
+
+def sample_points_reference(rect) -> dict[tuple[int, int], tuple[float, ...]]:
+    """Points ``c +/- 3**-(d+1) e_i`` for every longest side of ``rect``,
+    keyed ``(dim, sign)``, long dims ascending and ``-1`` before ``+1``."""
+    return {
+        (dim, sign): _center(*_third(rect.nums, rect.depths, dim, sign))
+        for dim in rect.long_dims()
+        for sign in (-1, 1)
+    }

@@ -314,6 +314,59 @@ class TestSearchStepper:
         assert calls == [1]
 
 
+def _stepped_terraces():
+    """(search, best rect id after each step) on a staircase of integer
+    values, so that most children tie the best value exactly."""
+    def terraces(pts):
+        return np.floor(6 * np.abs(pts[:, 0] - 0.2)) + np.floor(6 * np.abs(pts[:, 1] - 0.85))
+
+    space = ParamSpace([(0.0, 1.0), (0.0, 1.0)])
+    search = Search(terraces, space, BudgetConfig(max_iters=30, depth=5))
+    best_ids = []
+    while search.step():
+        best_ids.append(search.best.id)
+    return search, best_ids
+
+
+class TestBestRect:
+    def test_a_tied_child_does_not_replace_the_best(self):
+        search, best_ids = _stepped_terraces()
+        # the sequence a min() over [best, *children] gave, which keeps the
+        # first of equal values; a child that only ties never takes over
+        assert best_ids == [0, 2, 6, 16, 16, 16] + [56] * 18 + [311] * 7
+        assert [r.l_min for r in search.trace.records[:3]] == [3.0, 1.0, 0.0]
+
+    def test_one_dim_tie_keeps_the_center_child(self):
+        search = Search(lambda pts: np.ones(len(pts)), UNIT1, BudgetConfig(max_iters=1))
+        search.step()
+        search.step()
+        # ids 1 and 2 are the side thirds, 3 the center that inherits the root
+        assert search.best.id == 3
+
+    def test_each_record_owns_its_arrays(self):
+        search, _ = _stepped_terraces()
+        records = search.trace.records
+        space = search.space
+        # records 3 to 5 share the best rect 16
+        for a, b in zip(records[3:5], records[4:6]):
+            for name in ("c_min", "optimal_box"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert np.array_equal(x, y)
+                assert x is not y and not np.shares_memory(x, y)
+
+        # writing into one record's arrays leaves the next record's alone
+        search = Search(search.objective, space, search.budget)
+        for _ in range(4):
+            record = search.step()
+        assert search.best.id == 16
+        record.c_min[:] = np.nan
+        record.optimal_box[:] = np.nan
+        following = search.step()
+        assert search.best.id == 16
+        assert np.array_equal(following.c_min, space.to_physical(search.best.center()))
+        assert np.array_equal(following.optimal_box, space.to_physical(search.best.box().T).T)
+
+
 class TestSizeGroups:
     def test_partition_groups_hold_after_every_step(self):
         fn = make_multi_basin(5)

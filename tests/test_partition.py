@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from warpcheck.partition import (
     PartitionError,
     sample_points,
 )
-from oracles import group_by_size
+from oracles import ReferencePartition, group_by_size, sample_points_reference
 from warpcheck.selection import group_size
 
 
@@ -310,3 +311,131 @@ class TestSizeGroups:
         _divide_with_values(part, 0, {(0, -1): 1.0, (0, 1): 2.0})
         assert list(part.groups) == [1]
         assert [r.id for r in part.groups[1]] == [3, 1, 2]
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _assert_matches_reference(part, ref):
+    """Same live ids in creation order, the same exact centers, depths and
+    value bits, and the same size groups in the same key and rank order."""
+    assert list(part.rects) == list(ref.rects)
+    for rect_id, rect in part.rects.items():
+        want = ref.rects[rect_id]
+        assert (rect.nums, rect.depths, rect.depth_key) == (want.nums, want.depths, want.depth_key)
+        assert _bits([rect.value]) == _bits([want.value])
+    assert list(part.groups) == list(ref.groups)
+    for key, group in part.groups.items():
+        assert [r.id for r in group] == [r.id for r in ref.groups[key]]
+        assert all(part.rects[r.id] is r for r in group)
+
+
+def _divide_both(part, ref, rect_id, values):
+    """Divide ``rect_id`` in both partitions after checking that their sample
+    points agree key for key and bit for bit; return the new ids."""
+    points = sample_points(part.rects[rect_id])
+    want = sample_points_reference(ref.rects[rect_id])
+    assert list(points) == list(want)
+    for key, u in want.items():
+        assert _bits(points[key]) == _bits(u), key
+    results = dict(zip(want, values))
+    new_ids = part.divide(rect_id, results)
+    assert new_ids == ref.divide(rect_id, results)
+    _assert_matches_reference(part, ref)
+    return new_ids
+
+
+def _same_outcome(part, ref, rect_id, results):
+    """Divide in both partitions: the new ids, or the error message, agree."""
+    try:
+        want = ref.divide(rect_id, results)
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        got = part.divide(rect_id, results)
+    except PartitionError as exc:
+        got = str(exc)
+    assert got == want
+    _assert_matches_reference(part, ref)
+    return got
+
+
+def _twin(n, value):
+    part, ref = Partition(n), ReferencePartition(n)
+    part.rects[0].value = ref.rects[0].value = value
+    return part, ref
+
+
+class TestMatchesReference:
+    """The division and sample points against the first-written trisection
+    in ``oracles``: ids, centers, depths, value bits, group order, sample
+    coordinate bits and error messages all agree."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_division_walks(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
+        part, ref = _twin(n, float(rng.normal()))
+        for _ in range(90):
+            live = [r.id for r in part if r.depth_key < 9]
+            rect_id = live[int(rng.integers(len(live)))]
+            # one decimal, so equal values tie and the (value, id) order decides
+            values = np.round(rng.normal(size=2 * len(part.rects[rect_id].long_dims())), 1)
+            _divide_both(part, ref, rect_id, values.tolist())
+
+    def test_one_dim_dive_to_depth_33(self):
+        # depth 33 is the budget's cap; the last denominator, 2 * 3**33, is
+        # above 2**53, so a coordinate keeps its bits only if divided exactly
+        rng = np.random.default_rng(33)
+        part, ref = _twin(1, 0.25)
+        rect_id = 0
+        for depth in range(1, 34):
+            values = [float(v) for v in rng.normal(size=2)]
+            new_ids = _divide_both(part, ref, rect_id, values)
+            rect_id = new_ids[int(rng.integers(3))]
+            assert part.rects[rect_id].depths == (depth,)
+
+    @pytest.mark.parametrize(
+        "results",
+        [
+            {(0, -1): 1.0, (0, 1): 2.0},
+            {(0, -1): 1.0, (0, 1): 2.0, (1, -1): 3.0},
+            {(0, -1): 1.0, (0, 1): 2.0, (1, -1): 3.0, (1, 1): 4.0, (2, -1): 5.0},
+            {(0, -1): 1.0, (0, 1): 2.0, (1, -1): 3.0, (2, 1): 4.0},
+            {},
+        ],
+    )
+    def test_same_coverage_failure(self, results):
+        part, ref = _twin(2, 0.0)
+        assert "do not cover" in _same_outcome(part, ref, 0, results)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_same_finite_value_failure(self, bad, at):
+        part, ref = _twin(2, 0.0)
+        results = {(0, -1): 1.0, (0, 1): 2.0, (1, -1): 3.0, (1, 1): 4.0}
+        results[list(results)[at]] = bad
+        assert "non-finite query result" in _same_outcome(part, ref, 0, results)
+
+    def test_same_dead_and_unset_rect_failures(self):
+        part, ref = Partition(1), ReferencePartition(1)
+        results = {(0, -1): 1.0, (0, 1): 2.0}
+        assert "non-finite value nan" in _same_outcome(part, ref, 0, results)
+        part.rects[0].value = ref.rects[0].value = 0.0
+        _divide_both(part, ref, 0, [1.0, 2.0])
+        assert "is not live" in _same_outcome(part, ref, 0, results)
+
+    def test_same_order_guard(self):
+        # group 1 in (value, id) order: center 0.0 (id 3), lower 1.0 (id 1),
+        # upper 2.0 (id 2); rewriting one value moves its rank among them
+        messages = []
+        for child in range(3):
+            for value in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+                part, ref = _twin(1, 0.0)
+                rect_id = _divide_both(part, ref, 0, [1.0, 2.0])[child]
+                part.rects[rect_id].value = ref.rects[rect_id].value = value
+                messages.append(_same_outcome(part, ref, rect_id, {(0, -1): 1.0, (0, 1): 2.0}))
+        raised = [m for m in messages if isinstance(m, str)]
+        assert all("is out of (value, id) order" in m for m in raised)
+        assert 0 < len(raised) < len(messages)
