@@ -8,11 +8,12 @@ configuration is echoed into each output header so results are
 self-describing.  Outputs carry a schema version line for downstream
 tooling.
 
-An example whose image, model call or search raises is reported (verdict
-``error`` in ``verify``, left out of ``attacked`` in ``compare``, listed
-under ``errors`` in the summary) and the batch goes on.  Exit codes: 0 on
-success, 1 for a runtime failure or a failed example (after every output
-is written), 2 for a usage or config error.
+An example whose image, model call or search raises anything but an
+interrupt is reported (verdict ``error`` in ``verify``, left out of
+``attacked`` in ``compare``, listed under ``errors`` in the summary, its
+traceback on stderr) and the batch goes on.  Exit codes: 0 on success, 1
+for a runtime failure or a failed example (after every output is written),
+2 for a usage or config error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import configparser
 import json
 import sys
 import time
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -44,12 +46,10 @@ class ConfigError(ValueError):
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 # flag destination -> (config section, config key, type, default, help).
@@ -301,9 +301,9 @@ def _examples(res: Resolver, domain: TransformDomain, attack):
             objective = MarginObjective(model, read_image(path), label, domain)
             if not (skip and objective.clean_margin <= 0.0):
                 outcome = attack(space, i, objective)
-        except (OSError, ValueError) as exc:
-            errors[i] = str(exc)
-            sys.stderr.write(f"error: example {i} ({path}): {exc}\n")
+        except Exception as exc:  # an interrupt still stops the batch
+            errors[i] = str(exc) or type(exc).__name__
+            sys.stderr.write(f"error: example {i} ({path}): {errors[i]}\n{traceback.format_exc()}")
         examples.append((i, path, label, objective, outcome))
     return examples, errors
 

@@ -64,12 +64,8 @@ class BudgetConfig:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.max_queries < 1:
-            raise ValueError("max_queries must be at least 1")
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         # Up to depth 33 every center is an odd multiple of 1/(2 * 3**33), so
         # distinct centers lie at least 3**-33 ~ 1.9e-16 apart, above the
         # spacing of doubles below 1 (2**-53); deeper, distinct sample points
@@ -77,8 +73,6 @@ class BudgetConfig:
         # for unit points: to_physical may still map two of them to one.
         if self.depth > 33:
             raise ValueError("depth must be at most 33")
-        if self.alpha < 1:
-            raise ValueError("alpha must be at least 1")
         try:
             tau_ok = 0 < self.tau < np.inf
         except TypeError:

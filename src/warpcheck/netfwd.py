@@ -261,21 +261,24 @@ def _layer(block: list[str], path: str):
 
 
 def save_weights(path, net: NetSpec) -> None:
-    """Write a :class:`NetSpec` in the text format read by :func:`load_weights`."""
+    """Write a :class:`NetSpec` in the text format read by :func:`load_weights`;
+    the text is built first, so a layer it cannot hold leaves the file untouched."""
+    lines = []
+    for layer in net.layers:
+        if isinstance(layer, ReluLayer):
+            lines.append("layer relu")
+        elif isinstance(layer, FlattenLayer):
+            lines.append("layer flatten")
+        elif isinstance(layer, DenseLayer):
+            n_out, n_in = layer.weight.shape
+            lines.append(f"layer dense {n_in} {n_out}")
+        elif isinstance(layer, Conv2dLayer):
+            out_ch, in_ch, k, _ = layer.weight.shape
+            lines.append(f"layer conv2d {in_ch} {out_ch} {k} {layer.stride} {layer.pad}")
+        else:
+            raise WeightFormatError(f"cannot serialise layer {layer!r}")
+        if isinstance(layer, (DenseLayer, Conv2dLayer)):
+            for values in (layer.weight.ravel(), layer.bias):
+                lines.append(" ".join(repr(float(v)) for v in values))
     with open(path, "w", newline="\n") as fh:
-        for layer in net.layers:
-            if isinstance(layer, ReluLayer):
-                fh.write("layer relu\n")
-            elif isinstance(layer, FlattenLayer):
-                fh.write("layer flatten\n")
-            elif isinstance(layer, DenseLayer):
-                n_out, n_in = layer.weight.shape
-                fh.write(f"layer dense {n_in} {n_out}\n")
-            elif isinstance(layer, Conv2dLayer):
-                out_ch, in_ch, k, _ = layer.weight.shape
-                fh.write(f"layer conv2d {in_ch} {out_ch} {k} {layer.stride} {layer.pad}\n")
-            else:
-                raise WeightFormatError(f"cannot serialise layer {layer!r}")
-            if isinstance(layer, (DenseLayer, Conv2dLayer)):
-                for values in (layer.weight.ravel(), layer.bias):
-                    fh.write(" ".join(repr(float(v)) for v in values) + "\n")
+        fh.write("".join(line + "\n" for line in lines))

@@ -1,9 +1,11 @@
 """Potentially-optimal subspace selection.
 
-The functions here read only a :class:`HyperRect`'s ``id``, ``depth_key``
-and ``value``.  Sizes are grouped by the minimum trisection depth; group
-``k`` has size ``group_size(k) = 0.5 * 3**-k`` (from
-:mod:`warpcheck.partition`).  :func:`select_po` reads the size groups as
+The helpers read numbers: a rect's center value and its group's size.
+:func:`select_po` reads a :class:`HyperRect`'s ``id`` and ``value`` alone.
+Sizes are grouped by the minimum trisection depth; group ``k`` has size
+``group_size(k) = 0.5 * 3**-k`` (from :mod:`warpcheck.partition`), computed
+once per group per call; sizes fall strictly as ``k`` rises, so they compare
+as depth keys do.  :func:`select_po` reads the size groups as
 ``Partition.groups`` keeps them, each in ``(value, id)`` order as the
 partition divides, and never regroups or re-sorts a rect.  The depth cap
 lives here as well: :func:`select_po` never picks a rect at
@@ -36,39 +38,37 @@ from typing import Mapping
 from .partition import HyperRect, group_size
 
 
-def slope_bracket(stat: HyperRect, minima: Mapping[int, float]) -> tuple[float, float]:
-    """Admissible local-slope constants for ``stat``, as ``(lower, upper)``.
+def slope_bracket(value: float, size: float, minima: Mapping[float, float]) -> tuple[float, float]:
+    """Admissible local-slope constants for a rect, as ``(lower, upper)``.
 
     ``upper`` is the least slope ``(value_q - value_p)/(size_q - size_p)``
     toward a strictly larger group, ``+inf`` when there is none; ``lower``
     is the greatest slope from a strictly smaller group, floored at 0.  For
     a fixed group the extreme slope comes from its least center value, so
-    only group minima are needed.
+    ``minima`` maps each group's size to that value alone.
     """
-    size = group_size(stat.depth_key)
     lower, upper = 0.0, math.inf
-    for key, vmin in minima.items():
-        if key < stat.depth_key:
-            slope = (vmin - stat.value) / (group_size(key) - size)
+    for other, vmin in minima.items():
+        if other > size:
+            slope = (vmin - value) / (other - size)
             if slope < upper:
                 upper = slope
-        elif key > stat.depth_key:
-            slope = (stat.value - vmin) / (size - group_size(key))
+        elif other < size:
+            slope = (value - vmin) / (size - other)
             if slope > lower:
                 lower = slope
     return lower, upper
 
 
-def sufficient_descent(stat: HyperRect, l_min: float, tau: float, upper: float) -> bool:
-    """Whether dividing ``stat`` can improve ``l_min`` by more than ``tau``.
+def sufficient_descent(value: float, size: float, l_min: float, tau: float, upper: float) -> bool:
+    """Whether dividing a rect can improve ``l_min`` by more than ``tau``.
 
     ``upper`` is the upper end of the rect's :func:`slope_bracket`; with no
     larger rects it is ``+inf`` and the test passes.
     """
-    size = group_size(stat.depth_key)
     if l_min != 0.0:
-        return tau <= (l_min - stat.value) / abs(l_min) + size * upper / abs(l_min)
-    return stat.value <= size * upper
+        return tau <= (l_min - value) / abs(l_min) + size * upper / abs(l_min)
+    return value <= size * upper
 
 
 def select_po(
@@ -89,15 +89,16 @@ def select_po(
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    minima = {key: group[0].value for key, group in groups.items()}
+    keys = sorted(groups)
+    minima = {group_size(key): groups[key][0].value for key in keys}
     selected: list[int] = []
-    for key, group in sorted(groups.items()):
+    for key, size in zip(keys, minima):
         if key >= max_depth:
-            continue
-        for rect in group[:alpha]:
-            lower, upper = slope_bracket(rect, minima)
+            break
+        for rect in groups[key][:alpha]:
+            lower, upper = slope_bracket(rect.value, size, minima)
             if upper - lower <= 0.0:
                 break
-            if sufficient_descent(rect, l_min, tau, upper):
+            if sufficient_descent(rect.value, size, l_min, tau, upper):
                 selected.append(rect.id)
     return selected

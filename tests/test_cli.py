@@ -366,6 +366,117 @@ class TestFailedExamples:
         assert methods == ["warpcheck", "grid", "random"]
 
 
+class TestAnyExceptionStaysWithItsExample:
+    """Any exception but an interrupt fails only its example; its traceback goes
+    to stderr and an empty message becomes the exception's type name."""
+
+    def run_five(self, command, target, model_dir, tmp_path, monkeypatch, extra=()):
+        path, names = model_dir
+        labels = (path / "labels.txt").read_text().split()[:5]
+        real, calls = getattr(cli, target), []
+
+        def third_raises(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise MemoryError()
+            return real(*args)
+
+        monkeypatch.setattr(cli, target, third_raises)
+        argv = [command, "--weights", str(path / "net.txt"), "--images", *names[:5],
+                "--labels", ",".join(labels), "--rotation", "10", "--max-iters", "3",
+                *extra, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        _, payload = read_summary(tmp_path / "summary.txt")
+        assert payload["errors"] == {"2": "MemoryError"}
+        return payload
+
+    def check_stderr(self, err, model_dir):
+        line = f"error: example 2 ({model_dir[1][2]}): MemoryError\n"
+        assert line + "Traceback (most recent call last):" in err
+        assert err.rstrip().endswith("MemoryError")
+
+    def test_verify_keeps_the_finished_rows(self, model_dir, tmp_path, capsys, monkeypatch):
+        payload = self.run_five("verify", "verify", model_dir, tmp_path, monkeypatch)
+        self.check_stderr(capsys.readouterr().err, model_dir)
+        assert payload["examples"] == 5
+        rows = data_rows(tmp_path / "results.csv")[1:]
+        assert [r[0] for r in rows] == ["0", "1", "2", "3", "4"]
+        assert [r[3] == "error" for r in rows] == [False, False, True, False, False]
+        assert rows[2][4:] == [""] * 6
+
+    def test_compare_leaves_the_example_out(self, model_dir, tmp_path, capsys, monkeypatch):
+        payload = self.run_five("compare", "run", model_dir, tmp_path, monkeypatch,
+                                extra=("--oracle-grid", "2", "--oracle-random", "5"))
+        self.check_stderr(capsys.readouterr().err, model_dir)
+        assert payload["examples"] == 5 and payload["attacked"] == 4
+        details = data_rows(tmp_path / "details.csv")[1:]
+        assert sorted({r[0] for r in details}) == ["0", "1", "3", "4"]
+
+    def test_interrupt_stops_the_run(self, model_dir, tmp_path, monkeypatch):
+        path, names = model_dir
+        label = (path / "labels.txt").read_text().split()[0]
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "verify", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--weights", str(path / "net.txt"), "--images", names[0],
+                  "--labels", label, "--rotation", "10", "--out", str(tmp_path)])
+
+
+class TestInputChecks:
+    """The exact message of each value check the CLI makes before any search."""
+
+    @pytest.mark.parametrize("word", ["no", "off", "0", "false", " No ", "FALSE",
+                                      "yes", "on", "1", "true", " Yes ", "TRUE"])
+    def test_boolean_words(self, word):
+        assert cli._parse_bool(word) is (word.strip().lower() in ("yes", "on", "1", "true"))
+
+    @pytest.mark.parametrize("word", ["maybe", "", "2", "y"])
+    def test_invalid_word(self, word):
+        with pytest.raises(ValueError, match=f"^not a boolean: {re.escape(repr(word))}$"):
+            cli._parse_bool(word)
+
+    # case -> (argv before --out, config text or None, the error line)
+    CASES = {
+        "bool-in-config": (
+            ["verify", "--images", "--rotation", "10"], "[search]\nskip_misclassified = maybe\n",
+            "error: --skip-misclassified (config key search.skip_misclassified): "
+            "bad config value 'maybe': not a boolean: 'maybe'"),
+        "cast-in-config": (
+            ["optimize", "--fn", "abs1d", "--bounds", "0,1"], "[search]\ndepth = abc\n",
+            "error: --depth (config key search.depth): bad config value 'abc': "
+            "invalid literal for int() with base 10: 'abc'"),
+        "odd-bounds": (
+            ["optimize", "--fn", "abs1d", "--bounds", "0,1,2"], None,
+            "error: --bounds (config key function.bounds): need lo,hi pairs, got '0,1,2'"),
+        "three-translate": (
+            ["verify", "--images", "--rotation", "10", "--translate", "1,2,3"], None,
+            "error: --translate (config key translate.range): "
+            "need one or two comma-separated values, got '1,2,3'"),
+        "word-label": (
+            ["verify", "--images", "{image}", "{image}", "--labels", "1,x", "--rotation", "10"],
+            None, "error: bad label list '1,x': invalid literal for int() with base 10: 'x'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_message(self, case, model_dir, tmp_path, capsys):
+        path, names = model_dir
+        argv, config, message = self.CASES[case]
+        argv = [names[0] if arg == "{image}" else arg for arg in argv]
+        if argv[0] == "verify":
+            argv += ["--weights", str(path / "net.txt")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 class TestMalformedNumbers:
     """Unparseable --bounds and --translate are usage errors (exit 2), by flag or file."""
 

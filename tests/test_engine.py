@@ -167,6 +167,8 @@ class TestRunBasics:
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BudgetConfig(**{name: np.float64(3.0)})
             assert getattr(BudgetConfig(**{name: np.int64(3)}), name) == 3
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+                BudgetConfig(**{name: 0})
 
     def test_trace_csv_schema(self):
         fn = make_function("abs1d")

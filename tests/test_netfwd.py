@@ -123,6 +123,23 @@ class TestLayers:
         with pytest.raises(ShapeError):
             forward(net, np.ones(4))
 
+    def test_layer_input_checks(self):
+        dense = DenseLayer(np.eye(4), np.zeros(4))
+        with pytest.raises(ShapeError, match=r"^dense layer expects flat input, got shape \(2, 2, 2, 1\)$"):
+            dense.apply(np.ones((2, 2, 2, 1)))
+        conv = Conv2dLayer(np.ones((2, 1, 3, 3)), np.zeros(2), stride=1, pad=0)
+        with pytest.raises(ShapeError, match=r"^conv2d expects \(B, H, W, C\) input, got shape \(2, 4\)$"):
+            conv.apply(np.ones((2, 4)))
+        with pytest.raises(ShapeError, match="^conv2d expects 1 channels, got 3$"):
+            conv.apply(np.ones((1, 4, 4, 3)))
+        with pytest.raises(ShapeError, match="^conv2d kernel 3 larger than padded input 2x4$"):
+            conv.apply(np.ones((1, 2, 4, 1)))
+
+    def test_output_must_be_logit_vectors(self):
+        net = NetSpec([Conv2dLayer(np.ones((2, 1, 1, 1)), np.zeros(2), stride=1, pad=0)])
+        with pytest.raises(ShapeError, match="^network output is not a batch of logit vectors$"):
+            forward(net, np.ones((1, 3, 3, 1)))
+
 
 def _mixed_conv_net(rng):
     # pad 2 / stride 1, pad 1 / stride 2 and pad 0 convs with 2 -> 3 -> 4 -> 8
@@ -273,6 +290,18 @@ class TestLoadWeights:
         back = load_weights(path)
         x = rng.random((2, 4, 4, 1))
         assert np.array_equal(forward(net, x), forward(back, x))
+
+    def test_unserialisable_layer_writes_nothing(self, tmp_path):
+        net = NetSpec([DenseLayer(np.eye(2), np.zeros(2)), object()])
+        path = tmp_path / "net.txt"
+        with pytest.raises(WeightFormatError, match="^cannot serialise layer <object object"):
+            save_weights(path, net)
+        assert not path.exists()
+        save_weights(path, build_fixture_net())
+        before = path.read_bytes()
+        with pytest.raises(WeightFormatError, match="^cannot serialise layer"):
+            save_weights(path, net)
+        assert path.read_bytes() == before
 
 
 # case -> weight file text; each must raise WeightFormatError naming the file

@@ -27,6 +27,11 @@ class TestParamSpace:
         with pytest.raises(PartitionError):
             ParamSpace([(2.0, 1.0)])
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_bound(self, bound):
+        with pytest.raises(PartitionError, match=r"^non-finite bounds on dimension 1: \(0\.0, "):
+            ParamSpace([(0.0, 1.0), (0.0, bound)])
+
     def test_to_physical_midpoint_and_endpoints(self):
         space = ParamSpace([(-20.0, 20.0)])
         assert space.to_physical([0.5])[0] == 0.0
@@ -49,6 +54,10 @@ class TestParamSpace:
 
 
 class TestInitSpace:
+    def test_rejects_zero_dimensions(self):
+        with pytest.raises(PartitionError, match="^partition needs at least one dimension$"):
+            Partition(0)
+
     def test_two_dim(self):
         part = Partition(ParamSpace([(-20.0, 20.0), (0.9, 1.1)]).n)
         assert len(part) == 1

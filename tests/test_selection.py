@@ -10,6 +10,7 @@ from oracles import (
     lemma_po_oracle,
     select_po_reference,
 )
+from warpcheck import selection
 from warpcheck.partition import HyperRect, Partition, sample_points
 from warpcheck.selection import (
     group_size,
@@ -24,12 +25,22 @@ THREE = [HyperRect(0, (1,), (0,), 5.0), HyperRect(1, (1,), (1,), 3.0),
 
 
 def _minima(stats):
-    return {key: group[0].value for key, group in group_by_size(stats).items()}
+    """Group size -> least center value, the table select_po hands its helpers."""
+    return {group_size(key): group[0].value for key, group in group_by_size(stats).items()}
+
+
+def _bracket(stat, minima):
+    return slope_bracket(stat.value, group_size(stat.depth_key), minima)
+
+
+def _descent(stat, minima, l_min, tau=1e-4):
+    upper = _bracket(stat, minima)[1]
+    return sufficient_descent(stat.value, group_size(stat.depth_key), l_min, tau, upper)
 
 
 def _score(stat, minima):
     """Width of the rect's slope bracket, the score select_po cuts at 0."""
-    lower, upper = slope_bracket(stat, minima)
+    lower, upper = _bracket(stat, minima)
     return upper - lower
 
 
@@ -65,10 +76,11 @@ class TestSlopeBracket:
                 HyperRect(i, (1,), (int(rng.integers(0, 5)),), float(np.round(rng.normal(), 1)))
                 for i in range(int(rng.integers(1, 21)))
             ]
+            by_key = {key: group[0].value for key, group in group_by_size(stats).items()}
             minima = _minima(stats)
             for s in stats:
-                want = (_ref_smaller_slope(s, minima), _ref_larger_slope(s, minima))
-                assert slope_bracket(s, minima) == want, f"trial {trial}, rect {s.id}"
+                want = (_ref_smaller_slope(s, by_key), _ref_larger_slope(s, by_key))
+                assert _bracket(s, minima) == want, f"trial {trial}, rect {s.id}"
 
 
 class TestAlphaCandidates:
@@ -112,8 +124,7 @@ class TestAlphaCandidates:
 class TestSufficientDescent:
     def test_largest_rect_always_passes(self):
         stats = [HyperRect(0, (1,), (0,), 7.0), HyperRect(1, (1,), (1,), 8.0)]
-        upper = slope_bracket(stats[0], _minima(stats))[1]
-        assert sufficient_descent(stats[0], l_min=7.0, tau=1e-4, upper=upper)
+        assert _descent(stats[0], _minima(stats), l_min=7.0)
 
     def test_first_branch_accepts(self):
         # l_min = -1, value = -1, size 1/6, larger-group slope 6:
@@ -121,21 +132,18 @@ class TestSufficientDescent:
         stats = [HyperRect(0, (1,), (0,), 1.0), HyperRect(1, (1,), (1,), -1.0)]
         minima = _minima(stats)
         # larger slope for rect 1: (1 - (-1)) / (1/2 - 1/6) = 6
-        upper = slope_bracket(stats[1], minima)[1]
-        assert sufficient_descent(stats[1], l_min=-1.0, tau=1e-4, upper=upper)
+        assert _bracket(stats[1], minima)[1] == pytest.approx(6.0)
+        assert _descent(stats[1], minima, l_min=-1.0)
 
     def test_zero_l_min_branch_rejects(self):
         # value 0.2, size 1/6, slope term 0.6: 0.2 > 0.1
         stat = HyperRect(1, (1,), (1,), 0.2)
         larger = HyperRect(0, (1,), (0,), 0.2 + 0.6 * (group_size(0) - group_size(1)))
-        minima = _minima([larger, stat])
-        upper = slope_bracket(stat, minima)[1]
-        assert not sufficient_descent(stat, l_min=0.0, tau=1e-4, upper=upper)
+        assert not _descent(stat, _minima([larger, stat]), l_min=0.0)
 
     def test_zero_l_min_branch_accepts_negative_value(self):
         stats = [HyperRect(0, (1,), (0,), 0.5), HyperRect(1, (1,), (1,), -0.1)]
-        upper = slope_bracket(stats[1], _minima(stats))[1]
-        assert sufficient_descent(stats[1], l_min=0.0, tau=1e-4, upper=upper)
+        assert _descent(stats[1], _minima(stats), l_min=0.0)
 
 
 class TestSelectPo:
@@ -148,6 +156,16 @@ class TestSelectPo:
         # largest rect by infinite score; middle passes the descent test
         got = select_po(group_by_size(THREE), alpha=1, tau=1e-4, l_min=3.0, max_depth=6)
         assert got == [0, 1]
+
+    def test_group_size_computed_once_per_group(self, monkeypatch):
+        part = _random_partition(np.random.default_rng(5), 2, 20, round_to=3)
+        assert len(part.groups) > 2
+        l_min = min(r.value for r in part)
+        want = select_po_reference(list(part), 2, 1e-4, l_min, 9)
+        calls = []
+        monkeypatch.setattr(selection, "group_size", lambda k: calls.append(k) or group_size(k))
+        assert select_po(part.groups, 2, 1e-4, l_min, 9) == want
+        assert len(calls) <= len(part.groups)
 
     def test_depth_cap_empties_selection(self):
         stats = [HyperRect(0, (1,), (3,), 1.0), HyperRect(1, (1,), (3,), 2.0)]
