@@ -8,6 +8,13 @@ configuration is echoed into each output header so results are
 self-describing.  Outputs carry a schema version line for downstream
 tooling.
 
+The output directory is made only after every option is read, so a usage
+or config error leaves none behind.  ``verify`` and ``compare`` write each
+example's rows to ``results.csv`` or ``details.csv`` as it finishes, and
+keep only those rows, so memory does not grow with the batch.  An
+interrupt keeps the finished rows but writes no summary; ``summary.txt``
+and ``compare.csv`` come from the kept rows after the last example.
+
 An example whose image, model call or search raises anything but an
 interrupt is reported (verdict ``error`` in ``verify``, left out of
 ``attacked`` in ``compare``, listed under ``errors`` in the summary, its
@@ -21,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 import time
 import traceback
@@ -182,10 +190,10 @@ def _parse_pair(raw: str) -> tuple[float, float]:
 
 
 def _parse_labels(raw: str, count: int) -> list[int]:
-    path = Path(raw)
-    if path.exists():
+    # os.path.exists is False, not an error, for a comma list too long to be a name
+    if os.path.exists(raw):
         try:
-            tokens = path.read_text().split()
+            tokens = Path(raw).read_text().split()
         except (OSError, UnicodeDecodeError) as exc:
             raise _bad("labels", exc) from None
     else:
@@ -199,10 +207,10 @@ def _parse_labels(raw: str, count: int) -> list[int]:
     return labels
 
 
-def _header_lines(command: str, effective: dict[str, str]) -> list[str]:
+def _header(command: str, effective: dict[str, str]) -> str:
     lines = [f"# {OUTPUT_VERSION}", f"# command = {command}"]
     lines.extend(f"# {key} = {value}" for key, value in sorted(effective.items()))
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _write_summary(outdir: Path, command: str, effective: dict[str, str], payload: dict,
@@ -210,23 +218,19 @@ def _write_summary(outdir: Path, command: str, effective: dict[str, str], payloa
     """Write and echo the summary, listing failed examples; return the exit code."""
     if errors:
         payload["errors"] = errors
-    text = "\n".join(_header_lines(command, effective))
-    text += "\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _header(command, effective) + json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (outdir / "summary.txt").write_text(text)
     sys.stdout.write(text)
     return 1 if errors else 0
 
 
-def _write_csv(path: Path, command: str, effective: dict[str, str],
-               columns: list[str], rows: list[list]) -> None:
-    lines = _header_lines(command, effective)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv(rows) -> str:
+    """CSV lines of ``rows``, each ending in a newline."""
+    return "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
 
 
 def _cell(value) -> str:
+    # repr(float(v)): NumPy 2 prints an np.float64 itself as np.float64(...)
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
@@ -261,8 +265,7 @@ def cmd_optimize(res: Resolver) -> int:
     trace, elapsed = _timed(run, fn, space, budget)
 
     trace_path = outdir / "trace.csv"
-    header = _header_lines("optimize", res.effective)
-    trace_path.write_text("\n".join([*header, trace.to_csv()]), newline="\n")
+    trace_path.write_text(_header("optimize", res.effective) + trace.to_csv(), newline="\n")
     payload = trace.summary()
     payload["function"] = name
     payload["runtime_s"] = elapsed
@@ -275,12 +278,15 @@ def _domain(res: Resolver) -> TransformDomain:
                   scale=res.get("scale"), translate=_parse_pair(res.get("translate")))
 
 
-def _examples(res: Resolver, domain: TransformDomain, attack):
-    """Run ``attack(space, index, objective)`` on each example of the batch.
+def _examples(res: Resolver, domain: TransformDomain, command: str, name: str,
+              columns: list[str], rows_of):
+    """Run each example of the batch and write its rows to ``name`` as it finishes.
 
-    Returns ``(index, path, label, objective, outcome)`` per example, with
-    ``outcome`` None for a failed example or a skipped clean mistake, and
-    ``{index: message}`` for the examples whose image, model or search raised.
+    ``rows_of(space, index, path, label, objective)`` returns an example's
+    rows.  ``space`` is None for a skipped clean mistake, and ``objective``
+    too for an example whose image, model or search raised.  Only the rows
+    are kept.  Returns the output directory, every row, the number of
+    images and ``{index: message}`` for the failed examples.
     """
     skip = res.get("skip_misclassified")
     weights_path = res.get("weights", required=True)
@@ -293,46 +299,46 @@ def _examples(res: Resolver, domain: TransformDomain, attack):
     raw_labels = res.get("labels", required=bool(paths))
     labels = _parse_labels(raw_labels, len(paths)) if paths else []
     model = lambda batch: forward(net, batch)
+    outdir = _outdir(res)
 
-    examples, errors = [], {}
-    for i, (path, label) in enumerate(zip(paths, labels)):
-        objective = outcome = None
-        try:
-            objective = MarginObjective(model, read_image(path), label, domain)
-            if not (skip and objective.clean_margin <= 0.0):
-                outcome = attack(space, i, objective)
-        except Exception as exc:  # an interrupt still stops the batch
-            errors[i] = str(exc) or type(exc).__name__
-            sys.stderr.write(f"error: example {i} ({path}): {errors[i]}\n{traceback.format_exc()}")
-        examples.append((i, path, label, objective, outcome))
-    return examples, errors
+    kept, errors = [], {}
+    with open(outdir / name, "w") as out:
+        out.write(_header(command, res.effective) + _csv([columns]))
+        out.flush()
+        for i, (path, label) in enumerate(zip(paths, labels)):
+            objective = None  # drop the last example's before this one's is built
+            try:
+                objective = MarginObjective(model, read_image(path), label, domain)
+                mistake = skip and objective.clean_margin <= 0.0
+                rows = rows_of(None if mistake else space, i, path, label, objective)
+            except Exception as exc:  # an interrupt still stops the batch
+                errors[i] = str(exc) or type(exc).__name__
+                sys.stderr.write(f"error: example {i} ({path}): {errors[i]}\n{traceback.format_exc()}")
+                rows = rows_of(None, i, path, label, None)
+            out.write(_csv(rows))
+            out.flush()
+            kept += rows
+    return outdir, kept, len(paths), errors
 
 
 def cmd_verify(res: Resolver) -> int:
     budget = _budget(res)
     domain = _domain(res)
-    outdir = _outdir(res)
-    examples, errors = _examples(res, domain, lambda space, i, objective: (
-        objective.clean_margin, *_timed(verify, objective, space, budget)))
+
+    def rows_of(space, i, path, label, objective):
+        if objective is None:
+            return [[i, path, label, ERROR, *[""] * 6]]
+        clean = objective.clean_margin
+        if space is None:
+            return [[i, path, label, CLEAN_ERROR, clean, clean, "", "", 0, 0.0]]
+        result, elapsed = _timed(verify, objective, space, budget)
+        witness = ";".join(repr(float(v)) for v in result.witness) if result.witness is not None else ""
+        return [[i, path, label, result.status, clean, result.l_min, result.l_star_min, witness,
+                 result.queries, elapsed]]
 
     columns = ["index", "image", "label", "verdict", "clean_margin", "l_min",
                "l_star_min", "witness", "queries", "runtime_s"]
-    rows = []
-    for i, path, label, objective, outcome in examples:
-        if i in errors:
-            verdict, cells = ERROR, [""] * 6
-        elif outcome is None:
-            clean = objective.clean_margin
-            verdict, cells = CLEAN_ERROR, [clean, clean, "", "", 0, 0.0]
-        else:
-            clean, result, elapsed = outcome
-            witness = ";".join(repr(float(v)) for v in result.witness) if result.witness is not None else ""
-            verdict, cells = result.status, [clean, result.l_min, result.l_star_min, witness,
-                                             result.queries, elapsed]
-        rows.append([i, path, label, verdict, *cells])
-
-    _write_csv(outdir / "results.csv", "verify", res.effective, columns, rows)
-    total = len(examples)
+    outdir, rows, total, errors = _examples(res, domain, "verify", "results.csv", columns, rows_of)
     counts = Counter(row[3] for row in rows)
     payload = {
         "examples": total,
@@ -366,9 +372,10 @@ def cmd_compare(res: Resolver) -> int:
     n = len(domain.factors)
     if grid_points**n > MAX_GRID_POINTS:
         raise _bad("oracle_grid", f"{grid_points}**{n} points exceed the cap of {MAX_GRID_POINTS}")
-    outdir = _outdir(res)
 
-    def attack(space, i, objective):
+    def rows_of(space, i, path, label, objective):
+        if space is None:
+            return []
         trace, t_engine = _timed(run, objective, space, budget)
         grid, t_grid = _timed(grid_search, objective, space, grid_points)
         rand, t_rand = _timed(random_pick, objective, space, random_samples, seed + i)
@@ -379,9 +386,10 @@ def cmd_compare(res: Resolver) -> int:
                  int(match_metric(value, grid.min_value, tolerance))]
                 for method, value, queries, elapsed in outcomes]
 
-    examples, errors = _examples(res, domain, attack)
-    details = [row for *_, outcome in examples if outcome for row in outcome]
-    attacked = sum(1 for *_, outcome in examples if outcome)
+    detail_cols = ["index", "method", "min_value", "queries", "runtime_s", "match"]
+    outdir, details, total, errors = _examples(res, domain, "compare", "details.csv",
+                                               detail_cols, rows_of)
+    attacked = len({row[0] for row in details})
 
     methods = {}
     for method in ("warpcheck", "grid", "random"):
@@ -394,10 +402,8 @@ def cmd_compare(res: Resolver) -> int:
                                "match_rate": sum(matches) / attacked}
     columns = ["method", "verified_acc", "mean_queries", "mean_runtime_s", "match_rate"]
     rows = [[method, *[stats[c] for c in columns[1:]]] for method, stats in methods.items()]
-    detail_cols = ["index", "method", "min_value", "queries", "runtime_s", "match"]
-    _write_csv(outdir / "compare.csv", "compare", res.effective, columns, rows)
-    _write_csv(outdir / "details.csv", "compare", res.effective, detail_cols, details)
-    payload = {"examples": len(examples), "attacked": attacked, "methods": methods,
+    (outdir / "compare.csv").write_text(_header("compare", res.effective) + _csv([columns, *rows]))
+    payload = {"examples": total, "attacked": attacked, "methods": methods,
                "compare": str(outdir / "compare.csv")}
     return _write_summary(outdir, "compare", res.effective, payload, errors)
 
@@ -432,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         parser.exit(2, f"error: {exc}\n")
     except Exception as exc:  # unreadable files, bad formats, engine failures
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
 
 

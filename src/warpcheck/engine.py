@@ -125,10 +125,6 @@ class RunTrace:
         lines += [",".join(repr(getattr(r, name)) for name in TRACE_COLUMNS) for r in self.records]
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
     def summary(self) -> dict:
         return {
             "iterations": self.final.iteration,

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +187,33 @@ class TestVerify:
         _, payload = read_summary(tmp_path / "summary.txt")
         assert payload["clean_error"] == 1
 
+    def test_empty_message_names_the_type(self, model_dir, tmp_path, capsys, monkeypatch):
+        path, names = model_dir
+
+        def out_of_memory(_):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_weights", out_of_memory)
+        code = main(["verify", "--weights", str(path / "net.txt"), "--images", names[0],
+                     "--labels", "0", "--rotation", "10", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_long_inline_label_list(self, model_dir, tmp_path, capsys):
+        # 130 labels make a 259-byte list, longer than a file name may be
+        path, names = model_dir
+        label = (path / "labels.txt").read_text().split()[0]
+        labels = ",".join([label] * 130)
+        argv = ["verify", "--weights", str(path / "net.txt"), "--labels", labels,
+                "--rotation", "10", "--max-iters", "1", "--max-queries", "1"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--images", names[0], "--out", str(tmp_path / "one")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "error: 1 images but 130 labels\n"
+        assert main([*argv, "--images", *[names[0]] * 130, "--out", str(tmp_path / "all")]) == 0
+        _, payload = read_summary(tmp_path / "all" / "summary.txt")
+        assert payload["examples"] == 130
+
     def test_unreadable_weights(self, tmp_path, capsys):
         code = main([
             "verify", "--weights", str(tmp_path / "missing.txt"),
@@ -366,26 +395,37 @@ class TestFailedExamples:
         assert methods == ["warpcheck", "grid", "random"]
 
 
+def five_examples(command, model_dir, tmp_path):
+    """argv of a small ``command`` run on the first five fixture examples."""
+    path, names = model_dir
+    labels = (path / "labels.txt").read_text().split()[:5]
+    extra = ["--oracle-grid", "2", "--oracle-random", "5"] if command == "compare" else []
+    return [command, "--weights", str(path / "net.txt"), "--images", *names[:5],
+            "--labels", ",".join(labels), "--rotation", "10", "--max-iters", "3",
+            *extra, "--out", str(tmp_path)]
+
+
+def third_call_raises(monkeypatch, target, exc):
+    """Patch ``cli.<target>`` to raise ``exc`` on its third call."""
+    real, calls = getattr(cli, target), []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(cli, target, patched)
+
+
 class TestAnyExceptionStaysWithItsExample:
     """Any exception but an interrupt fails only its example; its traceback goes
-    to stderr and an empty message becomes the exception's type name."""
+    to stderr and an empty message becomes the exception's type name.  An
+    interrupt stops the run, keeping the rows of the finished examples."""
 
-    def run_five(self, command, target, model_dir, tmp_path, monkeypatch, extra=()):
-        path, names = model_dir
-        labels = (path / "labels.txt").read_text().split()[:5]
-        real, calls = getattr(cli, target), []
-
-        def third_raises(*args):
-            calls.append(args)
-            if len(calls) == 3:
-                raise MemoryError()
-            return real(*args)
-
-        monkeypatch.setattr(cli, target, third_raises)
-        argv = [command, "--weights", str(path / "net.txt"), "--images", *names[:5],
-                "--labels", ",".join(labels), "--rotation", "10", "--max-iters", "3",
-                *extra, "--out", str(tmp_path)]
-        assert main(argv) == 1
+    def run_five(self, command, target, model_dir, tmp_path, monkeypatch):
+        third_call_raises(monkeypatch, target, MemoryError())
+        assert main(five_examples(command, model_dir, tmp_path)) == 1
         _, payload = read_summary(tmp_path / "summary.txt")
         assert payload["errors"] == {"2": "MemoryError"}
         return payload
@@ -405,12 +445,45 @@ class TestAnyExceptionStaysWithItsExample:
         assert rows[2][4:] == [""] * 6
 
     def test_compare_leaves_the_example_out(self, model_dir, tmp_path, capsys, monkeypatch):
-        payload = self.run_five("compare", "run", model_dir, tmp_path, monkeypatch,
-                                extra=("--oracle-grid", "2", "--oracle-random", "5"))
+        payload = self.run_five("compare", "run", model_dir, tmp_path, monkeypatch)
         self.check_stderr(capsys.readouterr().err, model_dir)
         assert payload["examples"] == 5 and payload["attacked"] == 4
         details = data_rows(tmp_path / "details.csv")[1:]
         assert sorted({r[0] for r in details}) == ["0", "1", "3", "4"]
+
+    @pytest.mark.parametrize("command, target, name", [("verify", "verify", "results.csv"),
+                                                        ("compare", "run", "details.csv")])
+    def test_interrupt_keeps_the_finished_rows(self, command, target, name, model_dir,
+                                               tmp_path, monkeypatch):
+        third_call_raises(monkeypatch, target, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(five_examples(command, model_dir, tmp_path))
+        rows = data_rows(tmp_path / name)
+        assert rows[0][0] == "index"
+        assert sorted({r[0] for r in rows[1:]}) == ["0", "1"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == [name]  # and no summary
+
+    @pytest.mark.parametrize("command, target", [("verify", "verify"), ("compare", "run")])
+    def test_one_objective_alive_at_a_time(self, command, target, model_dir, tmp_path,
+                                           monkeypatch):
+        made, alive = [], []
+
+        class Recorded(cli.MarginObjective):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        real = getattr(cli, target)
+
+        def counted(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "MarginObjective", Recorded)
+        monkeypatch.setattr(cli, target, counted)
+        assert main(five_examples(command, model_dir, tmp_path)) == 0
+        assert alive == [1] * 5
 
     def test_interrupt_stops_the_run(self, model_dir, tmp_path, monkeypatch):
         path, names = model_dir
@@ -474,7 +547,7 @@ class TestInputChecks:
             main([*argv, "--out", str(tmp_path / "out")])
         assert info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == message
-        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedNumbers:
@@ -568,7 +641,7 @@ class TestOutOfRangeValues:
             section, key = cli.OPTIONS[dest][:2]
             assert f"error: {flag} (config key {section}.{key}):" in err
         assert searched == []
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestUnknownConfigKeys:

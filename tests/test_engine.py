@@ -178,13 +178,6 @@ class TestRunBasics:
         assert lines[1] == "iteration,queries,l_min,l_star_min,k_hat_max,n_po"
         assert len(lines) == 2 + len(trace.records)
 
-    def test_write_csv_writes_to_csv_bytes(self, tmp_path):
-        fn = make_function("multi-basin")
-        trace = run(fn, fn.param_space(), BudgetConfig(max_iters=8, max_queries=200, depth=4))
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        assert path.read_bytes() == trace.to_csv().encode()
-
 
 class TestObjectiveContract:
     """The search and both baselines call an objective through one function, so
