@@ -6,9 +6,12 @@ which the adaptive search never touches, making it a strictly stronger
 oracle at equal resolution.  Random sampling uses numpy's PCG64 generator,
 a published algorithm with stable streams, so runs are reproducible across
 platforms; for a fixed seed the first ``n`` samples of a longer run equal
-a shorter run's samples.  The objective is called through
-:func:`engine.evaluate`, so a NaN or infinite value, which has no place in
-the order the minimum is taken in, raises its ``ObjectiveError``.
+a shorter run's samples.  Both sweeps build their points and query the
+objective ``_CHUNK_POINTS`` at a time, keeping only a running minimum, so
+their memory does not grow with the number of points.  The objective is
+called through :func:`engine.evaluate`, so a NaN or infinite value, which
+has no place in the order the minimum is taken in, raises its
+``ObjectiveError``.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ import numpy as np
 from .engine import evaluate
 from .partition import ParamSpace
 
-# grid_search's default cap; compare checks its grid against it before searching
+# grid_search's default cap; compare checks its grid against it before
+# searching.  It bounds run time only: the points are streamed, so memory
+# does not grow with the grid
 MAX_GRID_POINTS = 2_000_000
-# points per objective call, which bounds the memory of one call's warped images
-_CHUNK_POINTS = 65536
+# points built and sent to the objective at once; no sweep holds more points
+# or values than this
+_CHUNK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -35,12 +41,19 @@ class SearchResult:
     n_points: int
 
 
-def _argmin(objective, points: np.ndarray) -> SearchResult:
-    values = np.concatenate([evaluate(objective, points[start : start + _CHUNK_POINTS])
-                             for start in range(0, len(points), _CHUNK_POINTS)])
-    best = int(np.argmin(values))
-    return SearchResult(min_value=float(values[best]), argmin=points[best].copy(),
-                        n_points=len(points))
+def _argmin(objective, n_points: int, chunk) -> SearchResult:
+    """Running minimum over ``chunk(start, stop)``, the points with linear
+    indices ``start`` to ``stop``, asked for in order: within a chunk the
+    first least value wins, and a later chunk only on a strictly lower one,
+    so the lowest linear index wins ties."""
+    best_value, best_point = np.inf, None
+    for start in range(0, n_points, _CHUNK_POINTS):
+        points = chunk(start, min(start + _CHUNK_POINTS, n_points))
+        values = evaluate(objective, points)
+        i = int(np.argmin(values))
+        if values[i] < best_value:  # values are finite, so the first chunk sets it
+            best_value, best_point = float(values[i]), points[i].copy()
+    return SearchResult(min_value=best_value, argmin=best_point, n_points=n_points)
 
 
 def grid_search(
@@ -49,7 +62,8 @@ def grid_search(
     points_per_dim: int,
     max_points: int = MAX_GRID_POINTS,
 ) -> SearchResult:
-    """Evaluate the full Cartesian grid, endpoints included.
+    """Evaluate the full Cartesian grid, endpoints included, in the order of
+    ``meshgrid(indexing="ij")``: the last factor varies fastest.
 
     Raises when ``points_per_dim ** n`` exceeds ``max_points``.
     """
@@ -62,18 +76,24 @@ def grid_search(
             "lower points_per_dim or raise max_points"
         )
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in space.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    return _argmin(objective, points)
+    shape = (points_per_dim,) * space.n
+
+    def chunk(start, stop):
+        index = np.unravel_index(np.arange(start, stop), shape)
+        return np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+
+    return _argmin(objective, total, chunk)
 
 
 def random_pick(objective, space: ParamSpace, n_samples: int, seed: int) -> SearchResult:
-    """Uniform samples over the box from a seeded PCG64 stream."""
+    """Uniform samples over the box from a seeded PCG64 stream, drawn one
+    chunk at a time; successive draws continue the stream, so the points are
+    those of one ``(n_samples, n)`` draw."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    points = space.lows + rng.random((n_samples, space.n)) * space.ranges
-    return _argmin(objective, points)
+    chunk = lambda start, stop: space.lows + rng.random((stop - start, space.n)) * space.ranges
+    return _argmin(objective, n_samples, chunk)
 
 
 def match_metric(method_min: float, oracle_min: float, tolerance: float = 0.0) -> bool:

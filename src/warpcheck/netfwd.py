@@ -131,7 +131,9 @@ class Conv2dLayer:
             np.copyto(lowered[: len(block)], block)
             np.matmul(lowered[: len(block)].reshape(n, row), weight,
                       out=out[start : start + step].reshape(n, out_ch))
-        out += self.bias
+        # the same additions as broadcasting over out_ch, but along rows of
+        # ow * out_ch values, which numpy runs as one long contiguous add
+        out.reshape(b * oh, ow * out_ch)[...] += np.tile(self.bias, ow)
         return out
 
 

@@ -19,6 +19,12 @@ import numpy as np
 from .geometry import FACTORS, IDENTITY, build_matrix_batch, validate_image, warp_batch
 from .partition import ParamSpace
 
+# image values warped and sent to the model at once (4 MiB of float64), so a
+# call's warped images and the model's own memory stay bounded whatever the
+# batch.  Smaller blocks cost time: at 2**18 the heap is trimmed and refilled
+# between blocks, page faults and all.
+_BLOCK_VALUES = 1 << 19
+
 
 def margin_batch(logits: np.ndarray, label: int) -> np.ndarray:
     """True-class logit minus the largest competing logit, per row of (B, K) logits."""
@@ -100,15 +106,16 @@ class MarginObjective:
     """Batch margin evaluator over transformation factors.
 
     ``model`` maps a (B, H, W, C) image batch to (B, K) logits.  Calling
-    the objective with (B, n) physical factor points warps the clean image
-    once per point, runs one forward pass for the whole batch, and returns
-    the margins.  Results depend only on the points, not on batch order.
-    A point's margin can still differ in the last bits with the batch size,
-    since BLAS blocks its products by shape: over an 11**4 grid on the 8x8
-    test fixture net, chunks of 512 to 4096 points give the bits of one call,
-    while chunks of 256 or single points differ at some points by up to 6e-15.
-    The warp runs in chunks of its own, but those give the bits of one call;
-    the forward pass always takes the whole batch, so the note above holds.
+    the objective with (B, n) physical factor points builds their matrices
+    once, then warps the clean image and runs the model in blocks of at most
+    ``_BLOCK_VALUES`` warped image values (one point when a single image is
+    larger), and returns the margins.  Results depend only on the points,
+    not on batch order.  A point's margin can still differ in the last bits
+    with the block size, since BLAS blocks its products by shape: over an
+    11**4 grid on the 8x8 test fixture net, chunks of 512 to 8192 points give
+    the bits of one call, while chunks of 256 or single points differ at
+    some points by up to 6e-15.  The 8x8 net's blocks are 8192 points, and a
+    search batch of a few dozen points is one block.
     """
 
     def __init__(
@@ -125,9 +132,13 @@ class MarginObjective:
 
     def __call__(self, thetas) -> np.ndarray:
         matrices = build_matrix_batch(**self.domain.factor_columns(thetas))
-        warped = warp_batch(self.image, matrices)
-        logits = np.asarray(self.model(warped), dtype=float)
-        return margin_batch(logits, self.label)
+        margins = np.empty(len(matrices))
+        step = max(1, _BLOCK_VALUES // self.image.size)
+        for start in range(0, len(matrices), step):
+            warped = warp_batch(self.image, matrices[start : start + step])
+            logits = np.asarray(self.model(warped), dtype=float)
+            margins[start : start + step] = margin_batch(logits, self.label)
+        return margins
 
     @functools.cached_property
     def clean_margin(self) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,32 @@ class TestGridSearch:
         assert res.min_value == -1.0
         assert res.argmin[0] == np.linspace(0.0, 1.0, 11)[2]
 
+    def test_chunks_hold_the_meshgrid_points(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_CHUNK_POINTS", 7)
+        space = ParamSpace([(-1.0, 2.0), (0.1, 0.7), (5.0, 9.0)])
+        seen = []
+        fn = lambda pts: (seen.append(pts.copy()), np.zeros(len(pts)))[1]
+        res = grid_search(fn, space, 4)
+        axes = [np.linspace(lo, hi, 4) for lo, hi in space.bounds]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        assert [len(pts) for pts in seen] == [7] * 9 + [1]
+        assert np.array_equal(np.vstack(seen), np.stack([m.ravel() for m in mesh], axis=1))
+        assert res.n_points == 64
+
+    def test_large_grid_peak_memory(self):
+        # the points are built a chunk at a time, so a 1M-point grid needs
+        # far less than its 16 MB of points
+        fn = lambda pts: pts[:, 0] - pts[:, 1]
+        tracemalloc.start()
+        try:
+            res = grid_search(fn, ParamSpace([(0.0, 1.0), (0.0, 1.0)]), 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.n_points == 10**6
+        assert np.array_equal(res.argmin, [0.0, 1.0])
+        assert peak < 4 * 2**20
+
 
 class TestRandomPick:
     def test_deterministic_given_seed(self):
@@ -108,6 +136,16 @@ class TestRandomPick:
         pts = np.vstack(seen)
         assert pts[:, 0].min() >= -4.0 and pts[:, 0].max() < -2.0
         assert pts[:, 1].min() >= 10.0 and pts[:, 1].max() < 11.0
+
+    def test_chunks_continue_one_draw(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_CHUNK_POINTS", 7)
+        space = ParamSpace([(-4.0, -2.0), (10.0, 11.0), (0.0, 0.3)])
+        seen = []
+        fn = lambda pts: (seen.append(pts.copy()), np.zeros(len(pts)))[1]
+        random_pick(fn, space, 30, seed=12)
+        draw = space.lows + np.random.default_rng(12).random((30, 3)) * space.ranges
+        assert [len(pts) for pts in seen] == [7, 7, 7, 7, 2]
+        assert np.array_equal(np.vstack(seen), draw)
 
     def test_needs_positive_sample_count(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from warpcheck import netfwd, objectives
 from warpcheck.netfwd import (
     Conv2dLayer,
     DenseLayer,
@@ -170,9 +171,37 @@ class TestMarginObjective:
         assert np.max(np.abs(vals - vals[0])) < 1e-9
 
     def test_no_points_gives_no_margins(self):
-        # the model flattens a (0, H, W, C) batch of warps
         obj, dom = self._objective()
         assert obj(np.empty((0, dom.param_space().n))).shape == (0,)
+
+    def test_blocks_of_the_batch_go_to_the_model(self, monkeypatch):
+        obj, dom = self._objective()
+        model, calls = obj.model, []
+        obj.model = lambda batch: (calls.append(len(batch)), model(batch))[1]
+        space = dom.param_space()
+        pts = space.to_physical(np.random.default_rng(2).random((23, space.n)))
+        monkeypatch.setattr(objectives, "_BLOCK_VALUES", 5 * 36 + 35)  # 5 of the 6x6 images
+        margins = obj(pts)
+        assert calls == [5, 5, 5, 5, 3]
+        assert np.array_equal(margins, np.concatenate([obj(pts[s : s + 5]) for s in range(0, 23, 5)]))
+
+    def test_large_batch_keeps_the_arena_to_one_block(self):
+        # 16x16x3 images: a block is 682 points, so a 2000-point call runs
+        # three blocks and the arena holds no more than one block's buffers
+        rng = np.random.default_rng(5)
+        net = NetSpec([
+            Conv2dLayer(rng.normal(0.0, 0.27, (4, 3, 3, 3)), rng.normal(0.0, 0.05, 4), 1, 1),
+            FlattenLayer(),
+            DenseLayer(rng.normal(0.0, 0.03, (2, 1024)), np.zeros(2)),
+        ])
+        dom = TransformDomain.from_ranges(rotation=10.0, translate=(1.5, 1.5))
+        obj = MarginObjective(lambda batch: forward(net, batch), rng.random((16, 16, 3)), 0, dom)
+        space = dom.param_space()
+        obj(space.to_physical(rng.random((2000, space.n))))
+        step = objectives._BLOCK_VALUES // (16 * 16 * 3)
+        padded, out = 18 * 18 * 3, 16 * 16 * 4  # floats per image
+        bound = 8 * (step * (padded + out) + netfwd._IM2COL_BLOCK_FLOATS)
+        assert sum(buf.nbytes for buf in net.scratch.values()) <= bound
 
     def test_rejects_out_of_range_image(self):
         dom = TransformDomain.from_ranges(scale=0.1)
