@@ -23,12 +23,13 @@ in blocks of at most ``_IM2COL_BLOCK_FLOATS`` window values (512 KiB), or
 one image at a time when a single image exceeds that, so the lowered copy
 never grows with the batch.
 
-:func:`forward` keeps a scratch arena on the :class:`NetSpec`: a padded-input
-buffer, a lowered-block buffer and one conv output buffer that every conv
-layer shares (a padded conv copies its input into the padded buffer first,
-so its output may overwrite the buffer its input came from).  Each call
-takes views of its batch's size; a buffer is replaced only by a larger one,
-so the arena is grow-only and lives as long as the ``NetSpec``.  Relu runs
+:func:`forward` keeps a scratch arena on the :class:`NetSpec`: one conv
+output buffer that every conv layer shares, and the padded input and the
+lowered windows of one lowering block.  Only the output buffer grows with
+the batch; a padded conv copies each block's images into the padded buffer
+just before lowering them, and blocking changes no bit.  Each call takes
+views of the sizes it needs; a buffer is replaced only by a larger one, so
+the arena is grow-only and lives as long as the ``NetSpec``.  Relu runs
 in place only on arrays the pass itself made, never on the caller's batch,
 and the returned logits are always a fresh array.  Because the arena is
 shared, one ``NetSpec`` must not run two forward passes at once (use one
@@ -91,7 +92,11 @@ class Conv2dLayer:
         With ``scratch``, a forward pass's arena, the padded input, the
         lowered blocks and the result live in its buffers, so the result is
         only valid until the arena's next use; without it, the buffers are
-        this call's own.
+        this call's own.  The input may be the arena's output buffer: each
+        block of images is read before its rows of the result are written,
+        so the result overwrites only images already read when the input
+        starts at the buffer's start and no image's output is larger than
+        its input.  Otherwise the input is copied first.
         """
         if x.ndim != 4:
             raise ShapeError(f"conv2d expects (B, H, W, C) input, got shape {x.shape}")
@@ -103,34 +108,39 @@ class Conv2dLayer:
         b, h, w = x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p
         if h < k or w < k:
             raise ShapeError(f"conv2d kernel {k} larger than padded input {h}x{w}")
-        if p or ("out" in arena and np.may_share_memory(x, arena["out"])):
-            # the result may then reuse the buffer the input came from;
+        oh = (h - k) // self.stride + 1
+        ow = (w - k) // self.stride + 1
+        row = k * k * in_ch
+        if "out" in arena and np.may_share_memory(x, arena["out"]):
+            # in place only under the docstring's read-before-write rule
+            if not (x.flags.c_contiguous and x.ctypes.data == arena["out"].ctypes.data
+                    and oh * ow * out_ch <= math.prod(x.shape[1:])):
+                x = x.copy()
+        step = max(1, _IM2COL_BLOCK_FLOATS // max(1, oh * ow * row))
+        if p:
+            # one block of images, copied into the interior block by block;
             # the border is zeroed on every call, as the buffer's previous
             # user may have left values there
-            padded = _buffer(arena, "padded", (b, h, w, in_ch))
+            padded = _buffer(arena, "padded", (min(step, b), h, w, in_ch))
             padded[:, :p] = 0.0
             padded[:, h - p :] = 0.0
             padded[:, p : h - p, :p] = 0.0
             padded[:, p : h - p, w - p :] = 0.0
-            padded[:, p : h - p, p : w - p] = x
-            x = padded
-        oh = (h - k) // self.stride + 1
-        ow = (w - k) // self.stride + 1
-        # (b, oh, ow, k, k, in_ch) windows; rows of a block flatten in the
-        # same (u, v, channel) order as the reshaped weight
-        windows = sliding_window_view(x, (k, k), axis=(1, 2))
+        # (images, oh, ow, k, k, in_ch) windows over the padded block, or
+        # over the whole input when there is no padding; rows of a block
+        # flatten in the same (u, v, channel) order as the reshaped weight
+        windows = sliding_window_view(padded if p else x, (k, k), axis=(1, 2))
         windows = windows[:, :: self.stride, :: self.stride].transpose(0, 1, 2, 4, 5, 3)
-        row = k * k * in_ch
         weight = self.weight.transpose(2, 3, 1, 0).reshape(row, out_ch)
         out = _buffer(arena, "out", (b, oh, ow, out_ch))
-        step = max(1, _IM2COL_BLOCK_FLOATS // max(1, oh * ow * row))
         lowered = _buffer(arena, "lowered", (min(step, b), oh, ow, k, k, in_ch))
         for start in range(0, b, step):
-            block = windows[start : start + step]
-            n = len(block) * oh * ow
-            np.copyto(lowered[: len(block)], block)
-            np.matmul(lowered[: len(block)].reshape(n, row), weight,
-                      out=out[start : start + step].reshape(n, out_ch))
+            n = min(step, b - start)
+            if p:
+                padded[:n, p : h - p, p : w - p] = x[start : start + n]
+            np.copyto(lowered[:n], windows[:n] if p else windows[start : start + n])
+            np.matmul(lowered[:n].reshape(n * oh * ow, row), weight,
+                      out=out[start : start + n].reshape(n * oh * ow, out_ch))
         # the same additions as broadcasting over out_ch, but along rows of
         # ow * out_ch values, which numpy runs as one long contiguous add
         out.reshape(b * oh, ow * out_ch)[...] += np.tile(self.bias, ow)

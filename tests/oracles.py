@@ -2,9 +2,10 @@
 
 These deliberately share no code with the package: quadratic enumeration,
 explicit candidate sweeps, dense grids, a masked per-corner bilinear warp
-that the package's padded single-gather warp must match bit for bit, and
+that the package's padded single-gather warp must match bit for bit,
 the partition's trisection as first written, which the package's division
-must match id for id and bit for bit.
+must match id for id and bit for bit, and conv2d's whole-batch padded
+lowering, which the package's block-padded lowering must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def lemma_po_oracle(stats, tau, l_min):
@@ -311,3 +313,55 @@ def sample_points_reference(rect) -> dict[tuple[int, int], tuple[float, ...]]:
         for dim in rect.long_dims()
         for sign in (-1, 1)
     }
+
+
+# ------------------------------------------------------------------- conv2d
+#
+# Conv2d's lowering as it was before the padding moved into the block loop: a
+# padded conv copies the whole batch into the padded buffer first.  Kept
+# verbatim but for its input checks and comments, which it drops, the
+# layer's fields, which it takes from ``layer``, and the block size, which
+# it takes as an argument.
+
+
+def conv2d_reference(layer, x: np.ndarray, scratch: dict | None = None,
+                     block_floats: int = 1 << 16) -> np.ndarray:
+    """``layer`` (a conv2d layer) applied to a (B, H, W, C) batch, with the
+    padded input, the lowered blocks and the result in ``scratch``'s buffers."""
+    out_ch, in_ch, k, _ = layer.weight.shape
+    arena = {} if scratch is None else scratch
+    p = layer.pad
+    b, h, w = x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p
+    if p or ("out" in arena and np.may_share_memory(x, arena["out"])):
+        padded = _buffer_reference(arena, "padded", (b, h, w, in_ch))
+        padded[:, :p] = 0.0
+        padded[:, h - p :] = 0.0
+        padded[:, p : h - p, :p] = 0.0
+        padded[:, p : h - p, w - p :] = 0.0
+        padded[:, p : h - p, p : w - p] = x
+        x = padded
+    oh = (h - k) // layer.stride + 1
+    ow = (w - k) // layer.stride + 1
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))
+    windows = windows[:, :: layer.stride, :: layer.stride].transpose(0, 1, 2, 4, 5, 3)
+    row = k * k * in_ch
+    weight = layer.weight.transpose(2, 3, 1, 0).reshape(row, out_ch)
+    out = _buffer_reference(arena, "out", (b, oh, ow, out_ch))
+    step = max(1, block_floats // max(1, oh * ow * row))
+    lowered = _buffer_reference(arena, "lowered", (min(step, b), oh, ow, k, k, in_ch))
+    for start in range(0, b, step):
+        block = windows[start : start + step]
+        n = len(block) * oh * ow
+        np.copyto(lowered[: len(block)], block)
+        np.matmul(lowered[: len(block)].reshape(n, row), weight,
+                  out=out[start : start + step].reshape(n, out_ch))
+    out.reshape(b * oh, ow * out_ch)[...] += np.tile(layer.bias, ow)
+    return out
+
+
+def _buffer_reference(arena: dict, name: str, shape: tuple) -> np.ndarray:
+    size = math.prod(shape)
+    buf = arena.get(name)
+    if buf is None or buf.size < size:
+        buf = arena[name] = np.empty(size)
+    return buf[:size].reshape(shape)

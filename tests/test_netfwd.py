@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fixtures import build_fixture_net
+from oracles import conv2d_reference
 from warpcheck import netfwd
 from warpcheck.netfwd import (
     Conv2dLayer,
@@ -157,6 +158,31 @@ def _mixed_conv_net(rng):
     ])
 
 
+def _padded_growth_net(rng):
+    # on 9x7 inputs the second conv's output per image (9*7*8 floats) is
+    # twice its input's
+    return NetSpec([
+        Conv2dLayer(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), stride=1, pad=1),
+        ReluLayer(),
+        Conv2dLayer(rng.normal(size=(8, 4, 3, 3)), rng.normal(size=8), stride=1, pad=1),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(rng.normal(size=(3, 504)), rng.normal(size=3)),
+    ])
+
+
+def _same_size_net(rng):
+    # the second conv's output per image is exactly its input's size
+    return NetSpec([
+        Conv2dLayer(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), stride=1, pad=1),
+        ReluLayer(),
+        Conv2dLayer(rng.normal(size=(4, 4, 3, 3)), rng.normal(size=4), stride=1, pad=1),
+        ReluLayer(),
+        FlattenLayer(),
+        DenseLayer(rng.normal(size=(3, 252)), rng.normal(size=3)),
+    ])
+
+
 class TestScratchArena:
     """forward keeps its conv buffers on the NetSpec between calls."""
 
@@ -192,22 +218,27 @@ class TestScratchArena:
         # interior by another layer, an input read after its buffer was
         # overwritten) would change bits; 300 window floats lower one image
         # per block, so a later block would read an input the earlier ones
-        # overwrote
+        # overwrote.  The second net's padded conv outgrows its input, which
+        # is the arena's out buffer, so it must copy that input first; the
+        # third's keeps the size, so it reads each block just before
+        # writing over it
         if block_floats is not None:
             monkeypatch.setattr(netfwd, "_IM2COL_BLOCK_FLOATS", block_floats)
-        rng = np.random.default_rng(3)
-        net = _mixed_conv_net(rng)
-        for batch in (17, 46, 1, 9, 17):
-            x = rng.random((batch, 9, 7, 2))
-            got = forward(net, x)
-            # a fresh arena, and each layer alone with buffers of its own
-            want = forward(NetSpec(net.layers), x)
-            alone = x
-            for layer in net.layers:
-                alone = layer.apply(alone)
-            for other in (want, alone):
-                assert np.array_equal(got, other)
-                assert np.array_equal(np.signbit(got), np.signbit(other))
+        for build, channels in ((_mixed_conv_net, 2), (_padded_growth_net, 3),
+                                (_same_size_net, 3)):
+            rng = np.random.default_rng(3)
+            net = build(rng)
+            for batch in (17, 46, 1, 9, 17):
+                x = rng.random((batch, 9, 7, channels))
+                got = forward(net, x)
+                # a fresh arena, and each layer alone with buffers of its own
+                want = forward(NetSpec(net.layers), x)
+                alone = x
+                for layer in net.layers:
+                    alone = layer.apply(alone)
+                for other in (want, alone):
+                    assert np.array_equal(got, other)
+                    assert np.array_equal(np.signbit(got), np.signbit(other))
 
     def test_buffers_reused_up_to_warm_batch(self):
         rng = np.random.default_rng(4)
@@ -218,6 +249,64 @@ class TestScratchArena:
         for batch in (1, 17, 46, 9):
             forward(net, rng.random((batch, 9, 7, 2)))
             assert all(net.scratch[name] is buf for name, buf in buffers.items())
+
+
+class TestBlockPadding:
+    """conv2d pads one lowering block at a time, with the bits of the
+    whole-batch padded copy it replaced (``oracles.conv2d_reference``)."""
+
+    @pytest.mark.parametrize("block_floats", [None, 300, 1])
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+    def test_matches_whole_batch_padding(self, monkeypatch, block_floats, shared):
+        # with a shared arena every conv after the first reads the arena's
+        # out buffer: channels grow, shrink and grow again, so some convs
+        # write over their input block by block and others copy it first
+        if block_floats is not None:
+            monkeypatch.setattr(netfwd, "_IM2COL_BLOCK_FLOATS", block_floats)
+        rng = np.random.default_rng(33)
+        arena, reference_arena = ({}, {}) if shared else (None, None)
+        for k in (1, 2, 3):
+            for stride in (1, 2):
+                for pad in (0, 1, 2):
+                    convs = [
+                        Conv2dLayer(rng.normal(size=(c_out, c_in, k, k)),
+                                    rng.normal(size=c_out), stride, pad)
+                        for c_in, c_out in ((2, 5), (5, 3), (3, 4))
+                    ]
+                    for batch in (0, 1, 17, 46, 170):
+                        got = want = rng.random((batch, 16, 15, 2))
+                        for conv in convs:
+                            got = conv.apply(got, arena)
+                            want = conv2d_reference(conv, want, reference_arena,
+                                                    netfwd._IM2COL_BLOCK_FLOATS)
+                            assert np.array_equal(got, want)
+                            assert np.array_equal(np.signbit(got), np.signbit(want))
+                            # relu in place, as forward runs it
+                            np.maximum(got, 0.0, out=got)
+                            np.maximum(want, 0.0, out=want)
+
+    def test_padded_buffer_is_one_lowering_block(self):
+        # conv-verify's net at compare's oracle block on 32x32x3: the padded
+        # buffer holds the 3 images of conv2's block (216 KiB), not all 170
+        net = _conv_verify_net()
+        x = np.random.default_rng(5).random((170, 32, 32, 3))
+        logits = forward(net, x)
+        limit, probe, want = 0, x[:1], x
+        for layer in net.layers:
+            if isinstance(layer, Conv2dLayer):
+                out_ch, in_ch, k, _ = layer.weight.shape
+                h, w = probe.shape[1] + 2 * layer.pad, probe.shape[2] + 2 * layer.pad
+                probe = layer.apply(probe)
+                window_floats = probe.shape[1] * probe.shape[2] * k * k * in_ch
+                step = max(1, netfwd._IM2COL_BLOCK_FLOATS // window_floats)
+                if layer.pad:
+                    limit = max(limit, step * h * w * in_ch)
+                want = conv2d_reference(layer, want)
+            else:
+                want = layer.apply(want)
+        assert net.scratch["padded"].size <= limit
+        assert np.array_equal(logits, want)
+        assert np.array_equal(np.signbit(logits), np.signbit(want))
 
 
 FIXTURE = """\

@@ -187,7 +187,9 @@ class TestMarginObjective:
 
     def test_large_batch_keeps_the_arena_to_one_block(self):
         # 16x16x3 images: a block is 682 points, so a 2000-point call runs
-        # three blocks and the arena holds no more than one block's buffers
+        # three blocks and the arena holds no more than one block's conv
+        # output, and the padded input and lowered windows of one lowering
+        # block (9 images of 16x16x27 window floats)
         rng = np.random.default_rng(5)
         net = NetSpec([
             Conv2dLayer(rng.normal(0.0, 0.27, (4, 3, 3, 3)), rng.normal(0.0, 0.05, 4), 1, 1),
@@ -199,8 +201,9 @@ class TestMarginObjective:
         space = dom.param_space()
         obj(space.to_physical(rng.random((2000, space.n))))
         step = objectives._BLOCK_VALUES // (16 * 16 * 3)
+        conv_step = netfwd._IM2COL_BLOCK_FLOATS // (16 * 16 * 27)
         padded, out = 18 * 18 * 3, 16 * 16 * 4  # floats per image
-        bound = 8 * (step * (padded + out) + netfwd._IM2COL_BLOCK_FLOATS)
+        bound = 8 * (conv_step * padded + step * out + netfwd._IM2COL_BLOCK_FLOATS)
         assert sum(buf.nbytes for buf in net.scratch.values()) <= bound
 
     def test_rejects_out_of_range_image(self):
