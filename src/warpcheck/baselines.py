@@ -23,10 +23,6 @@ import numpy as np
 from .engine import evaluate
 from .partition import ParamSpace
 
-# grid_search's default cap; compare checks its grid against it before
-# searching.  It bounds run time only: the points are streamed, so memory
-# does not grow with the grid
-MAX_GRID_POINTS = 2_000_000
 # points built and sent to the objective at once; no sweep holds more points
 # or values than this
 _CHUNK_POINTS = 8192
@@ -56,25 +52,12 @@ def _argmin(objective, n_points: int, chunk) -> SearchResult:
     return SearchResult(min_value=best_value, argmin=best_point, n_points=n_points)
 
 
-def grid_search(
-    objective,
-    space: ParamSpace,
-    points_per_dim: int,
-    max_points: int = MAX_GRID_POINTS,
-) -> SearchResult:
+def grid_search(objective, space: ParamSpace, points_per_dim: int) -> SearchResult:
     """Evaluate the full Cartesian grid, endpoints included, in the order of
-    ``meshgrid(indexing="ij")``: the last factor varies fastest.
-
-    Raises when ``points_per_dim ** n`` exceeds ``max_points``.
-    """
+    ``meshgrid(indexing="ij")``: the last factor varies fastest."""
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be at least 2")
     total = points_per_dim**space.n
-    if total > max_points:
-        raise ValueError(
-            f"grid of {total} points exceeds the budget of {max_points}; "
-            "lower points_per_dim or raise max_points"
-        )
     axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in space.bounds]
     shape = (points_per_dim,) * space.n
 

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import MAX_GRID_POINTS, grid_search, match_metric, random_pick
+from .baselines import grid_search, match_metric, random_pick
 from .engine import FALSIFIED, UNDECIDED, VERIFIED_ESTIMATE, BudgetConfig, run, verify
 from .images import read_image
 from .netfwd import forward, load_weights
@@ -47,6 +47,10 @@ from .partition import ParamSpace
 OUTPUT_VERSION = "warpcheck-output v1"
 CLEAN_ERROR = "clean-error"
 ERROR = "error"
+# compare's cap on its grid oracle, checked before any example runs.  It
+# bounds run time only: grid_search streams its points, so memory does not
+# grow with the grid
+MAX_GRID_POINTS = 2_000_000
 
 
 class ConfigError(ValueError):

@@ -271,22 +271,24 @@ UNDECIDED = "undecided"
 
 @dataclass
 class VerificationResult:
-    """Outcome of a robustness check on one margin objective."""
+    """Outcome of a robustness check on one margin objective; the numbers
+    are read from its trace."""
 
     status: str
-    l_min: float
-    l_star_min: float
     witness: np.ndarray | None
-    queries: int
     trace: RunTrace
 
-    def summary(self) -> dict:
-        out = self.trace.summary()
-        out["verdict"] = self.status
-        out["witness"] = (
-            [float(v) for v in self.witness] if self.witness is not None else None
-        )
-        return out
+    @property
+    def l_min(self) -> float:
+        return self.trace.l_min
+
+    @property
+    def l_star_min(self) -> float:
+        return self.trace.l_star_min
+
+    @property
+    def queries(self) -> int:
+        return self.trace.queries
 
 
 def verify(
@@ -309,11 +311,4 @@ def verify(
         status, witness = VERIFIED_ESTIMATE, None
     else:
         status, witness = UNDECIDED, None
-    return VerificationResult(
-        status=status,
-        l_min=trace.l_min,
-        l_star_min=trace.l_star_min,
-        witness=witness,
-        queries=trace.queries,
-        trace=trace,
-    )
+    return VerificationResult(status=status, witness=witness, trace=trace)

@@ -279,8 +279,9 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     of each output pixel as its source position moves along columns and
     rows.  Each is a convex combination of differences of neighbouring
     pixels, so for values in [0, 1] it is bounded by 1 in magnitude.  At
-    exactly integral source coordinates the kernel has a kink; the branch
-    treating the coincident pixel as lying ahead of the position is used.
+    exactly integral source coordinates the kernel has a kink, and the
+    bilinear formula gives the derivative from the right: the forward
+    difference to the next column or row, zero outside the grid.
     """
     img = validate_image(image)
     h, w, _ = img.shape
@@ -294,10 +295,7 @@ def warp_coordinate_grads(image, matrix: np.ndarray):
     fr, fc = fr[..., None], fc[..., None]
 
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)
-    d_dx = np.where(fc == 0.0, (1.0 - fr) * v00 + fr * v10, d_dx)
-
     d_dy = (1.0 - fc) * (v10 - v00) + fc * (v11 - v01)
-    d_dy = np.where(fr == 0.0, (1.0 - fc) * v00 + fc * v01, d_dy)
     return d_dx, d_dy
 
 
@@ -309,12 +307,13 @@ def warp_grad(
     """Per-pixel derivative of the warped image w.r.t. one factor.
 
     Chains the coordinate derivatives with the matrix derivative for the
-    requested factor.  Rotation derivatives are per degree.
+    requested factor.  Rotation derivatives are per degree.  At a kink this
+    is the chain rule applied to the right-hand coordinate derivative: the
+    one-sided derivative in the factor from the right wherever the source
+    coordinate grows with the factor, as it does for both translations.
     """
-    img = validate_image(image)
-    h, w, _ = img.shape
-    matrix = build_matrix(params)
-    d_dx, d_dy = warp_coordinate_grads(img, matrix)
+    d_dx, d_dy = warp_coordinate_grads(image, build_matrix(params))
+    h, w, _ = d_dx.shape
     da = matrix_grad(params, factor)
     xs, ys, _, _ = _axes(h, w)
     dcol = da[0, 0] * xs + da[0, 1] * ys + da[0, 2]

@@ -5,7 +5,8 @@ rows top to bottom; their headers may hold ``#`` comments, and the extension
 decides which magic a file must hold.  The text format keeps full float
 precision: a header line ``H W C`` followed by whitespace-separated values in
 [0, 1], pixel-major with channels interleaved.  Quantisation happens only at
-the PGM/PPM boundary.  Sizes must be positive, and every
+the PGM/PPM boundary.  Sizes must be positive, values read must be finite
+and lie in [0, 1] (a netpbm sample above maxval does not), and every
 :class:`ImageFormatError` a reader raises names the file.
 """
 
@@ -43,12 +44,18 @@ def write_image(path, image) -> None:
 
 
 def read_image(path) -> np.ndarray:
+    """Read an image file; its values must be finite and lie in [0, 1]."""
     path = str(path)
     if path.endswith(".txt"):
-        return _read_text(path)
-    if path[-4:] in NETPBM:
-        return _read_netpbm(path, *NETPBM[path[-4:]])
-    raise ImageFormatError(f"unsupported image extension: {path}")
+        img = _read_text(path)
+    elif path[-4:] in NETPBM:
+        img = _read_netpbm(path, *NETPBM[path[-4:]])
+    else:
+        raise ImageFormatError(f"unsupported image extension: {path}")
+    try:
+        return validate_image(img, check_range=True)
+    except ValueError as exc:
+        raise ImageFormatError(f"{exc} in {path}") from exc
 
 
 def _write_netpbm(path: str, img: np.ndarray, magic: bytes, channels: int) -> None:

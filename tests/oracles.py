@@ -112,9 +112,7 @@ def warp_coordinate_grads_reference(image, matrix):
     rows, cols = _source_coords_reference(np.asarray(matrix, dtype=float)[None], h, w)
     fr, fc, v00, v01, v10, v11 = _bilinear_corners_reference(image, rows[0], cols[0])
     d_dx = (1.0 - fr) * (v01 - v00) + fr * (v11 - v10)
-    d_dx = np.where(fc == 0.0, (1.0 - fr) * v00 + fr * v10, d_dx)
     d_dy = (1.0 - fc) * (v10 - v00) + fc * (v11 - v01)
-    d_dy = np.where(fr == 0.0, (1.0 - fc) * v00 + fc * v01, d_dy)
     return d_dx, d_dy
 
 

@@ -314,10 +314,7 @@ def test_criterion_9_alpha_and_depth_trends():
         mean_queries.append(float(np.mean(qs)))
     alpha_ok = all(a <= b for a, b in zip(mean_queries, mean_queries[1:]))
 
-    oracle = [
-        grid_search(f, sp, 3**7 + 1, max_points=10**7).min_value
-        for f, sp in zip(instances, spaces)
-    ]
+    oracle = [grid_search(f, sp, 3**7 + 1).min_value for f, sp in zip(instances, spaces)]
     mean_gaps = []
     for depth in (3, 4, 5, 6, 7):
         budget = BudgetConfig(max_iters=40, max_queries=10**6, depth=depth, alpha=2)

@@ -46,12 +46,6 @@ class TestGridSearch:
         res = grid_search(fn, UNIT1, 7)
         assert res.argmin[0] == 1.0
 
-    def test_budget_guard(self):
-        fn = lambda pts: np.zeros(len(pts))
-        space = ParamSpace([(0.0, 1.0)] * 4)
-        with pytest.raises(ValueError, match="exceeds the budget"):
-            grid_search(fn, space, 100, max_points=10**6)
-
     def test_needs_two_points_per_dim(self):
         with pytest.raises(ValueError):
             grid_search(lambda pts: np.zeros(len(pts)), UNIT1, 1)

@@ -458,17 +458,6 @@ class TestVerify:
         result = verify(fn, UNIT1, BudgetConfig(max_iters=4, max_queries=50, depth=2))
         assert result.status == UNDECIDED
 
-    def test_summary_record_carries_verdict_and_witness(self):
-        fn = lambda pts: np.abs(pts[:, 0] - 0.3) - 0.1
-        result = verify(fn, UNIT1, BudgetConfig(max_iters=30, max_queries=2000, depth=6))
-        record = result.summary()
-        assert record["verdict"] == FALSIFIED
-        assert abs(record["witness"][0] - 0.3) <= 0.1
-        assert record["queries"] == result.queries
-        import json
-
-        json.dumps(record)  # structured record is serialisable as-is
-
 
 def _digest(trace) -> str:
     return hashlib.sha256(trace.to_csv().encode()).hexdigest()

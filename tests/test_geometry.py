@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,13 +357,37 @@ class TestWarpGrad:
             assert np.max(np.abs(d_dy)) <= 1.0 + 1e-12
 
     def test_kink_convention_at_integral_coordinates(self):
-        # identity mapping: every source coordinate is integral, and the
-        # coincident pixel counts as lying ahead of the position
-        rng = np.random.default_rng(19)
-        img = rng.random((5, 5, 1))
-        d_dx, d_dy = warp_coordinate_grads(img, build_matrix(IDENTITY))
-        assert np.array_equal(d_dx, img)
-        assert np.array_equal(d_dy, img)
+        # at the identity and at an integral translation every source
+        # coordinate is integral; the derivatives are the forward
+        # differences of the image shifted by whole pixels, zero outside
+        # the grid, exactly
+        img = np.random.default_rng(19).random((5, 6, 2))
+        h, w, _ = img.shape
+        padded = np.zeros((h + 8, w + 8, 2))
+        padded[4:-4, 4:-4] = img
+        for t_hor, t_vrt in ((0.0, 0.0), (1.0, -2.0)):
+            r0, c0 = 4 + int(t_vrt), 4 + int(t_hor)
+            shifted = lambda r, c: padded[r0 + r : r0 + r + h, c0 + c : c0 + c + w]
+            m = build_matrix(TransformParams(t_hor=t_hor, t_vrt=t_vrt))
+            d_dx, d_dy = warp_coordinate_grads(img, m)
+            assert np.array_equal(d_dx, shifted(0, 1) - shifted(0, 0))
+            assert np.array_equal(d_dy, shifted(1, 0) - shifted(0, 0))
+
+    @pytest.mark.parametrize("t_hor, t_vrt", [(0.0, 0.0), (1.0, -2.0)])
+    def test_translation_grads_match_right_differences_at_kinks(self, t_hor, t_vrt):
+        # every source coordinate is integral; the source position grows
+        # with either translation, so warp_grad is the derivative from the right
+        img = np.random.default_rng(41).random((5, 6, 2))
+        params = TransformParams(t_hor=t_hor, t_vrt=t_vrt)
+        d_dx, d_dy = warp_coordinate_grads(img, build_matrix(params))
+        base = warp(img, build_matrix(params))
+        step = 1e-7
+        for factor, coordinate_grad in (("t_hor", d_dx), ("t_vrt", d_dy)):
+            moved = replace(params, **{factor: getattr(params, factor) + step})
+            right = (warp(img, build_matrix(moved)) - base) / step
+            analytic = warp_grad(img, params, factor)
+            assert np.max(np.abs(analytic - right)) < 1e-6
+            assert np.array_equal(analytic, coordinate_grad)
 
     def test_unknown_factor_rejected(self):
         with pytest.raises(ValueError):

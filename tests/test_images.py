@@ -113,6 +113,11 @@ MALFORMED_IMAGES = {
     "text-too-many-values": ("m.txt", b"1 2 1\n0.0 0.5 1.0\n"),
     "text-non-numeric": ("n.txt", b"1 2 1\n0.0 half\n"),
     "text-empty": ("e.txt", b""),
+    "text-nan": ("nan.txt", b"1 2 1\n0.5 nan\n"),
+    "text-inf": ("inf.txt", b"1 2 1\ninf 0.5\n"),
+    "text-negative-value": ("neg.txt", b"1 2 1\n0.5 -0.5\n"),
+    "text-value-above-one": ("big.txt", b"1 2 1\n7 0.5\n"),
+    "pgm-sample-above-maxval": ("a.pgm", b"P5\n3 2\n15\n" + bytes([0, 15, 200, 1, 2, 3])),
 }
 
 
@@ -175,6 +180,8 @@ WELL_FORMED_IMAGES = {
         "d.pgm", b"P5\n\x0b3\x0c2\r100\t" + bytes([0, 50, 100, 7, 1, 2]) + b"extra",
         np.array([0, 50, 100, 7, 1, 2]).reshape(2, 3, 1) / 100.0,
     ),
+    "pgm-maxval-15": ("m.pgm", b"P5\n3 2\n15\n" + bytes([0, 15, 7, 1, 2, 3]),
+                      np.array([0, 15, 7, 1, 2, 3]).reshape(2, 3, 1) / 15.0),
     "ppm-comments": ("e.ppm", b"P6 # rgb\n1 2 # one column\n255\n" + _PIXELS,
                      np.frombuffer(_PIXELS, np.uint8).reshape(2, 1, 3) / 255.0),
     "text": ("f.txt", b"2 1 2\n0.1 0.2\n0.30000000000000004 1e-3\n",
